@@ -8,16 +8,22 @@ level against an independent finite-difference eigenvalue oracle.
 """
 
 from .model import (
+    BRANCHES,
+    FREE_FIELD,
+    KG_HO,
+    KG_PHO,
     NEGATIVE,
+    NONREL_FIELDS,
+    NONREL_HO,
+    NONREL_PHO,
     POSITIVE,
     DegenerateProblemError,
-    NuConstants,
     PhysicalSystem,
     QuantumState,
     SpectralParams,
     effective_quantum_number,
     make_state,
-    nu_constants,
+    radial_problem,
     spectral_params,
 )
 from .oracle import (
@@ -31,15 +37,8 @@ from .oracle import (
     refine,
     verify_level,
 )
-from .specfun import kummer_poly, laguerre, log_gamma
+from .specfun import laguerre
 from .spectra import (
-    BRANCHES,
-    FREE_FIELD,
-    KG_HO,
-    KG_PHO,
-    NONREL_FIELDS,
-    NONREL_HO,
-    NONREL_PHO,
     EnergyLevel,
     HoParams,
     NonRelParams,
@@ -60,7 +59,6 @@ from .spectra import (
 )
 from .wavefun import (
     RadialWaveFunction,
-    case_constants,
     count_nodes,
     eval_psi,
     eval_radial,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys as _sys
@@ -23,11 +24,13 @@ import numpy as np
 
 from . import oracle, spectra, wavefun
 from .model import (
+    FREE_FIELD,
     NEGATIVE,
     POSITIVE,
     DegenerateProblemError,
     PhysicalSystem,
     make_state,
+    spectral_params,
 )
 
 EXIT_OK = 0
@@ -35,7 +38,7 @@ EXIT_CONFIG = 2
 EXIT_NO_ROOT = 3
 EXIT_VERIFY = 4
 
-_BRANCH_FLAGS = {"positive": POSITIVE, "negative": NEGATIVE, "free": spectra.FREE_FIELD}
+_BRANCH_FLAGS = {"positive": POSITIVE, "negative": NEGATIVE, "free": FREE_FIELD}
 _LIMIT_FLAGS = ("none", "nonrel", "kg-pho", "kg-ho", "nonrel-ho")
 
 
@@ -60,20 +63,29 @@ def _parse_range(text, flag):
     return list(range(lo, hi + 1))
 
 
+def _checked(convert, ok, requirement):
+    """argparse type: convert the flag text, then require ``ok`` of the value."""
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{requirement}, got {text}")
+        return value
+    return parse
+
+
+_FINITE = _checked(float, math.isfinite, "must be finite")
+_POSITIVE_FINITE = _checked(float, lambda v: math.isfinite(v) and v > 0, "must be finite and > 0")
+_AT_LEAST_2 = _checked(int, lambda v: v >= 2, "need >= 2")
+
+
 def _fmt(value):
     """Deterministic cell text: shortest round-trip decimals, empty for None."""
+    value = _json_safe(value)
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
-        if not math.isfinite(value):
-            raise ValueError("non-finite value in output")
-        return repr(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def _json_safe(value):
@@ -90,32 +102,21 @@ def _json_safe(value):
 def _write_table(cfg, columns, rows, extra_comment=None):
     """Serialize rows (list of dicts) as CSV or JSON to cfg.out or stdout."""
     if cfg.format == "csv":
-        buf = []
-        out = _StringIOWriter(buf)
+        out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
             writer.writerow([_fmt(row.get(c)) for c in columns])
         if extra_comment:
-            buf.append(f"# {extra_comment}\n")
-        text = "".join(buf)
+            out.write(f"# {extra_comment}\n")
+        text = out.getvalue()
     else:
         payload = {
             "config": cfg.echo,
             "levels": [{c: _json_safe(row.get(c)) for c in columns} for row in rows],
         }
-        if extra_comment:
-            payload["meta_comment"] = extra_comment
         text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     _emit(cfg.out, text)
-
-
-class _StringIOWriter:
-    def __init__(self, buf):
-        self.buf = buf
-
-    def write(self, s):
-        self.buf.append(s)
 
 
 def _emit(path, text):
@@ -140,8 +141,8 @@ def _build_system(args):
 
 def _validate_limit(args):
     limit = None if args.limit == "none" else args.limit
-    if limit in ("kg-pho",) and (args.b != 0.0 or args.xi != 0.0):
-        raise ConfigError("--limit", "kg-pho requires --b 0 and --xi 0")
+    if limit in ("kg-pho", "kg-ho", "nonrel-ho") and (args.b != 0.0 or args.xi != 0.0):
+        raise ConfigError("--limit", f"{limit} requires --b 0 and --xi 0")
     if limit in ("kg-pho", "kg-ho", "nonrel-ho") and args.v0 <= 0.0:
         raise ConfigError("--v0", f"--limit {limit} requires v0 > 0")
     if limit == "nonrel" and args.v0 == 0.0 and args.b == 0.0:
@@ -162,7 +163,21 @@ class _RunConfig(argparse.Namespace):
         return {k: getattr(self, k) for k in keys if hasattr(self, k)}
 
 
-def _level_row(state, level=None, status="ok", extra=None):
+def _state_grid(cfg):
+    """States for every (n, m) of --n and --m, n ascending then m."""
+    ns = _parse_range(cfg.n, "--n")
+    if ns[0] < 0:
+        raise ConfigError("--n", f"n must be >= 0, got {ns[0]}")
+    ms = _parse_range(cfg.m, "--m")
+    return [make_state(n, m, cfg.xi, strict=cfg.strict) for n in ns for m in ms]
+
+
+def _problem(cfg):
+    """The system, limit, branch and states that a command's flags ask for."""
+    return _build_system(cfg), _validate_limit(cfg), _BRANCH_FLAGS[cfg.branch], _state_grid(cfg)
+
+
+def _level_row(state, level=None, status="ok"):
     row = {
         "branch": level.branch if level else None,
         "n": state.n,
@@ -174,17 +189,16 @@ def _level_row(state, level=None, status="ok", extra=None):
         "oracle_dev": level.oracle_dev if level else None,
         "status": status,
     }
-    if extra:
-        row.update(extra)
     return row
 
 
 _SPECTRUM_COLUMNS = [
     "branch", "n", "m", "m_eff", "energy", "residual", "principal", "oracle_dev", "status",
 ]
+_VERIFY_COLUMNS = _SPECTRUM_COLUMNS[:-1] + ["convergence_ratio", "status"]
 
 
-def _solve_rows(cfg, system, states, branch, limit, with_oracle, need_ratio=False):
+def _solve_rows(cfg, system, states, branch, limit, with_oracle):
     rows = []
     missing = 0
     for state in states:
@@ -192,12 +206,11 @@ def _solve_rows(cfg, system, states, branch, limit, with_oracle, need_ratio=Fals
             level = spectra.compute_level(system, state, branch=branch, limit=limit)
         except (DegenerateProblemError, LookupError) as exc:
             status = "degenerate" if isinstance(exc, DegenerateProblemError) else "no_root"
-            rows.append(_level_row(state, status=status,
-                                   extra={"convergence_ratio": None} if need_ratio else None))
+            rows.append(_level_row(state, status=status))
             missing += 1
             continue
-        extra = None
         status = "ok"
+        ratio = None
         if with_oracle:
             try:
                 check = oracle.oracle_check(
@@ -208,45 +221,22 @@ def _solve_rows(cfg, system, states, branch, limit, with_oracle, need_ratio=Fals
                 missing += 1
             else:
                 level.oracle_dev = check.deviation
-                if need_ratio:
+                if math.isfinite(check.convergence_ratio):
                     ratio = check.convergence_ratio
-                    extra = {"convergence_ratio": ratio if math.isfinite(ratio) else None}
-        if extra is None and need_ratio:
-            extra = {"convergence_ratio": None}
-        rows.append(_level_row(state, level, status=status, extra=extra))
+        row = _level_row(state, level, status=status)
+        row["convergence_ratio"] = ratio
+        rows.append(row)
     return rows, missing
 
 
 def run_spectrum(cfg):
-    system = _build_system(cfg)
-    limit = _validate_limit(cfg)
-    branch = _BRANCH_FLAGS[cfg.branch]
-    ns = _parse_range(cfg.n, "--n")
-    ms = _parse_range(cfg.m, "--m")
-    states = [make_state(n, m, cfg.xi, strict=cfg.strict) for n in ns for m in ms]
-    if not states:
-        raise ConfigError("--n/--m", "empty state set")
-    rows, missing = _solve_rows(cfg, system, states, branch, limit, cfg.verify)
-    _write_table(cfg, _SPECTRUM_COLUMNS, rows)
-    return EXIT_NO_ROOT if missing else EXIT_OK
-
-
-def run_verify(cfg):
-    system = _build_system(cfg)
-    limit = _validate_limit(cfg)
-    branch = _BRANCH_FLAGS[cfg.branch]
-    ns = _parse_range(cfg.n, "--n")
-    ms = _parse_range(cfg.m, "--m")
-    states = [make_state(n, m, cfg.xi, strict=cfg.strict) for n in ns for m in ms]
-    if not states:
-        raise ConfigError("--n/--m", "empty state set")
-    rows, missing = _solve_rows(
-        cfg, system, states, branch, limit, with_oracle=True, need_ratio=True
-    )
-    columns = _SPECTRUM_COLUMNS[:-1] + ["convergence_ratio", "status"]
-    _write_table(cfg, columns, rows)
-    failed = [r for r in rows if r["oracle_dev"] is not None and r["oracle_dev"] > cfg.tol]
-    if failed:
+    """The spectrum and verify commands: verify always runs the oracle, adds
+    the convergence-ratio column and fails on deviations above --tol."""
+    system, limit, branch, states = _problem(cfg)
+    verify = cfg.command == "verify"
+    rows, missing = _solve_rows(cfg, system, states, branch, limit, verify or cfg.verify)
+    _write_table(cfg, _VERIFY_COLUMNS if verify else _SPECTRUM_COLUMNS, rows)
+    if verify and any(r["oracle_dev"] is not None and r["oracle_dev"] > cfg.tol for r in rows):
         return EXIT_VERIFY
     return EXIT_NO_ROOT if missing else EXIT_OK
 
@@ -254,8 +244,6 @@ def run_verify(cfg):
 def _simpson(y, h):
     """Composite Simpson on a uniform grid (trapezoid for a trailing odd cell)."""
     n = len(y) - 1
-    if n < 1:
-        return 0.0
     total = 0.0
     last = n if n % 2 == 0 else n - 1
     if last >= 2:
@@ -268,57 +256,44 @@ def _simpson(y, h):
 
 
 def run_wavefunction(cfg):
-    if cfg.samples < 2:
-        raise ConfigError("--samples", f"need >= 2, got {cfg.samples}")
     if (cfg.beta is None) != (cfg.gamma is None):
         raise ConfigError("--beta/--gamma", "give both or neither")
+    system, limit, branch, states = _problem(cfg)
+    if len(states) != 1:
+        raise ConfigError("--n/--m", "wavefunction takes a single (n, m)")
+    state = states[0]
     if cfg.beta is not None:
         if cfg.beta <= 0 or cfg.gamma <= 0:
             raise ConfigError("--beta/--gamma", "must be > 0")
-        n = _parse_range(cfg.n, "--n")
-        if len(n) != 1:
-            raise ConfigError("--n", "wavefunction takes a single n")
-        w = wavefun.radial_wavefunction(n[0], cfg.beta, cfg.gamma)
+        w = wavefun.radial_wavefunction(state.n, cfg.beta, cfg.gamma)
     else:
-        system = _build_system(cfg)
-        limit = _validate_limit(cfg)
-        ns = _parse_range(cfg.n, "--n")
-        ms = _parse_range(cfg.m, "--m")
-        if len(ns) != 1 or len(ms) != 1:
-            raise ConfigError("--n/--m", "wavefunction takes a single (n, m)")
-        state = make_state(ns[0], ms[0], cfg.xi, strict=cfg.strict)
         try:
-            level = spectra.compute_level(
-                system, state, branch=_BRANCH_FLAGS[cfg.branch], limit=limit
-            )
+            level = spectra.compute_level(system, state, branch=branch, limit=limit)
+            p = spectral_params(system, level.energy, state, level.branch)
+            if not p.bound_state:
+                raise DegenerateProblemError(f"no bound-state problem at E={level.energy}")
         except (DegenerateProblemError, LookupError) as exc:
             print(f"error: no solvable level: {exc}", file=_sys.stderr)
             return EXIT_NO_ROOT
-        beta, gamma = wavefun.case_constants(system, state, level)
-        w = wavefun.radial_wavefunction(state.n, beta, gamma)
+        w = wavefun.radial_wavefunction(state.n, p.beta, p.gamma)
 
     r_max = cfg.r_max if cfg.r_max is not None else wavefun.support_radius(w)
-    if r_max <= 0:
-        raise ConfigError("--r-max", "must be > 0")
     r = np.linspace(0.0, r_max, cfg.samples)
     g = wavefun.eval_radial(w, r)
     weight = g * g * r
-    norm = _simpson(list(weight), r[1] - r[0]) if cfg.samples > 1 else 0.0
+    norm = _simpson(list(weight), r[1] - r[0])
 
-    meta = f"norm_constant={_fmt(w.norm)} integrated_norm={_fmt(float(norm))}"
+    rows = [
+        {"r": float(ri), "g": float(gi), "psi2_2pi_r": float(wi)}
+        for ri, gi, wi in zip(r, g, weight)
+    ]
     if cfg.format == "csv":
-        rows = [
-            {"r": float(ri), "g": float(gi), "psi2_2pi_r": float(wi)}
-            for ri, gi, wi in zip(r, g, weight)
-        ]
+        meta = f"norm_constant={_fmt(w.norm)} integrated_norm={_fmt(float(norm))}"
         _write_table(cfg, ["r", "g", "psi2_2pi_r"], rows, extra_comment=meta)
     else:
         payload = {
             "config": cfg.echo,
-            "samples": [
-                {"r": float(ri), "g": float(gi), "psi2_2pi_r": float(wi)}
-                for ri, gi, wi in zip(r, g, weight)
-            ],
+            "samples": rows,
             "meta": {"norm_constant": w.norm, "integrated_norm": float(norm)},
         }
         _emit(cfg.out, json.dumps(payload, indent=2, allow_nan=False) + "\n")
@@ -332,16 +307,7 @@ _SWEEP_COLUMNS = [
 
 
 def run_sweep(cfg):
-    system = _build_system(cfg)
-    limit = _validate_limit(cfg)
-    branch = _BRANCH_FLAGS[cfg.branch]
-    if cfg.steps < 2:
-        raise ConfigError("--steps", f"need >= 2, got {cfg.steps}")
-    if not (math.isfinite(cfg.start) and math.isfinite(cfg.stop)):
-        raise ConfigError("--start/--stop", "must be finite")
-    ns = _parse_range(cfg.n, "--n")
-    ms = _parse_range(cfg.m, "--m")
-    states = [make_state(n, m, cfg.xi, strict=cfg.strict) for n in ns for m in ms]
+    system, limit, branch, states = _problem(cfg)
     vary = {"b": "b_field", "xi": "flux_xi", "v0": "v0"}[cfg.vary]
     try:
         sweep = spectra.sweep_levels(
@@ -394,9 +360,10 @@ def _add_output_flags(p):
 def _add_oracle_flags(p):
     p.add_argument("--tol", type=float, default=1e-5,
                    help="oracle deviation tolerance (default 1e-5)")
-    p.add_argument("--grid-n", dest="grid_n", type=int, default=None,
+    p.add_argument("--grid-n", dest="grid_n", default=None,
+                   type=_checked(int, lambda v: v >= 100, "need >= 100"),
                    help="override the oracle grid size")
-    p.add_argument("--r-max", dest="r_max", type=float, default=None,
+    p.add_argument("--r-max", dest="r_max", type=_POSITIVE_FINITE, default=None,
                    help="override the oracle / sampling box radius")
 
 
@@ -409,14 +376,17 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spectrum", help="solve energy levels")
-    _add_system_flags(p)
-    _add_state_flags(p)
-    _add_output_flags(p)
-    _add_oracle_flags(p)
-    p.add_argument("--verify", action="store_true",
-                   help="also fill the oracle deviation column")
-    p.set_defaults(func=run_spectrum)
+    for name, text in (("spectrum", "solve energy levels"),
+                       ("verify", "check levels against the finite-difference oracle")):
+        p = sub.add_parser(name, help=text)
+        _add_system_flags(p)
+        _add_state_flags(p)
+        _add_output_flags(p)
+        _add_oracle_flags(p)
+        p.set_defaults(func=run_spectrum)
+        if name == "spectrum":
+            p.add_argument("--verify", action="store_true",
+                           help="also fill the oracle deviation column")
 
     p = sub.add_parser("wavefunction", help="sample a normalized radial profile")
     _add_system_flags(p)
@@ -426,25 +396,18 @@ def _build_parser():
                    help="explicit radial exponent (with --gamma, skips solving)")
     p.add_argument("--gamma", type=float, default=None,
                    help="explicit gaussian width parameter")
-    p.add_argument("--samples", type=int, default=2001)
-    p.add_argument("--r-max", dest="r_max", type=float, default=None)
+    p.add_argument("--samples", type=_AT_LEAST_2, default=2001)
+    p.add_argument("--r-max", dest="r_max", type=_POSITIVE_FINITE, default=None)
     p.set_defaults(func=run_wavefunction)
-
-    p = sub.add_parser("verify", help="check levels against the finite-difference oracle")
-    _add_system_flags(p)
-    _add_state_flags(p)
-    _add_output_flags(p)
-    _add_oracle_flags(p)
-    p.set_defaults(func=run_verify)
 
     p = sub.add_parser("sweep", help="solve levels across a parameter grid")
     _add_system_flags(p)
     _add_state_flags(p, m_default="0..1")
     _add_output_flags(p)
     p.add_argument("--vary", choices=("b", "xi", "v0"), required=True)
-    p.add_argument("--start", type=float, required=True)
-    p.add_argument("--stop", type=float, required=True)
-    p.add_argument("--steps", type=int, default=5)
+    p.add_argument("--start", type=_FINITE, required=True)
+    p.add_argument("--stop", type=_FINITE, required=True)
+    p.add_argument("--steps", type=_AT_LEAST_2, default=5)
     p.set_defaults(func=run_sweep)
 
     return parser

@@ -1,4 +1,4 @@
-"""Physical parameters and the algebraic core of the planar problem.
+"""Physical parameters and the branch table of the planar problem.
 
 Everything is expressed in natural units hbar = c = M = e = 1: energies in
 units of the rest energy Mc^2, lengths in Compton wavelengths hbar/(Mc).
@@ -7,8 +7,10 @@ omega_c = eB/(Mc), stored in ``PhysicalSystem.b_field``; the solenoid flux
 enters only through xi = Phi_AB / Phi_0 with Phi_0 = hc/e, which shifts the
 magnetic quantum number m to the effective value m' = m + xi.
 
-With lambda_1 = E + 1 and lambda_2 = E - 1, each energy defines one radial
-oscillator problem through the triple (nu^2, beta^2, gamma^2):
+Every branch and limit reduces to one Laguerre radial problem, fixed at each
+energy by the triple (nu^2, beta^2, gamma^2).  ``radial_problem`` is the one
+table of these triples.  On the Klein-Gordon branches, with
+lambda_1 = E + 1 and lambda_2 = E - 1,
 
     nu^2    = lambda (lambda' + 2 v0) - omega_c m'
     beta^2  = m'^2 + rho0^2 v0 lambda
@@ -30,20 +32,31 @@ import numpy as np
 __all__ = [
     "POSITIVE",
     "NEGATIVE",
+    "FREE_FIELD",
+    "NONREL_FIELDS",
+    "NONREL_PHO",
+    "KG_PHO",
+    "KG_HO",
+    "NONREL_HO",
+    "BRANCHES",
     "DegenerateProblemError",
     "PhysicalSystem",
     "QuantumState",
     "SpectralParams",
-    "NuConstants",
     "effective_quantum_number",
     "make_state",
+    "radial_problem",
     "spectral_params",
-    "nu_constants",
 ]
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
-_BRANCHES = (POSITIVE, NEGATIVE)
+FREE_FIELD = "free_field"
+NONREL_FIELDS = "nonrel_fields"
+NONREL_PHO = "nonrel_pho"
+KG_PHO = "kg_pho"
+KG_HO = "kg_ho"
+NONREL_HO = "nonrel_ho"
 
 
 class DegenerateProblemError(ValueError):
@@ -162,83 +175,75 @@ class SpectralParams:
         return self.beta2 > 0.0 and self.gamma2 > 0.0
 
 
+def _klein_gordon(shift):
+    """Row of a Klein-Gordon branch: lambda = E + shift, lambda' = E - shift.
+
+    Constants are folded once per system, because solvers call the row at
+    every step.
+    """
+
+    def row(v0, r0, om, mp):
+        two_v0, om_mp, mp2 = 2.0 * v0, om * mp, mp * mp
+        r0r0, r0r0_v0, g0 = r0 * r0, r0 * r0 * v0, (0.5 * om) ** 2
+
+        def triple(e):
+            lam, lam_other = e + shift, e - shift
+            return lam * (lam_other + two_v0) - om_mp, mp2 + r0r0_v0 * lam, g0 + v0 * lam / r0r0
+
+        return triple
+
+    return row
+
+
+def _nonrel(v0, r0, om, mp):
+    beta2 = mp * mp + 2.0 * v0 * r0 * r0
+    gamma2 = (0.5 * om) ** 2 + 2.0 * v0 / r0 ** 2
+    return lambda e: (2.0 * (e + 2.0 * v0) - om * mp, beta2, gamma2)
+
+
+# The branch table: each row builds, from (v0, rho0, omega_c, m'), the map
+# E -> (nu^2, beta^2, gamma^2) of its radial problem.  beta^2 = m'^2 makes
+# beta = |m'| on the free-field and harmonic rows; the harmonic reductions
+# are field-free; the non-relativistic rows take E - Mc^2.
+_TABLE = {
+    POSITIVE: _klein_gordon(1.0),
+    NEGATIVE: _klein_gordon(-1.0),
+    FREE_FIELD: lambda v0, r0, om, mp: lambda e: (2.0 * e - om * mp, mp * mp, (0.5 * om) ** 2),
+    NONREL_FIELDS: _nonrel,
+    NONREL_PHO: _nonrel,
+    KG_PHO: _klein_gordon(1.0),
+    KG_HO: lambda v0, r0, om, mp: lambda e: (e * e - 1.0, mp * mp, v0 * (e + 1.0) / (r0 * r0)),
+    NONREL_HO: lambda v0, r0, om, mp: lambda e: (2.0 * e, mp * mp, 2.0 * v0 / (r0 * r0)),
+}
+BRANCHES = tuple(_TABLE)
+
+
+def radial_problem(sys, state, branch):
+    """The radial problem of ``branch`` as a function E -> (nu^2, beta^2, gamma^2).
+
+    This is the only place that maps a branch to its triple.  The branch is
+    checked here, once; the returned function does plain arithmetic and no
+    checks, so it takes a float or a NumPy array of energies and is cheap
+    enough to call at every solver step.
+    """
+    try:
+        row = _TABLE[branch]
+    except KeyError:
+        raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}") from None
+    return row(sys.v0, sys.rho0, sys.omega_c, state.m_eff)
+
+
 def spectral_params(sys, energy, state, branch=POSITIVE):
-    """Map (system, energy, branch) to the radial oscillator triple.
+    """The triple (nu^2, beta^2, gamma^2) of ``branch`` at one energy.
 
     Returns a flagged (``bound_state == False``) result rather than raising
     when beta^2 or gamma^2 is non-positive at this energy.
     """
-    if branch not in _BRANCHES:
-        raise ValueError(f"branch must be one of {_BRANCHES}, got {branch!r}")
+    triple = radial_problem(sys, state, branch)
     energy = float(energy)
     if not math.isfinite(energy):
         raise ValueError("energy must be finite")
-    lam1 = energy + 1.0
-    lam2 = energy - 1.0
-    if branch == POSITIVE:
-        if lam1 <= 0.0:
-            raise ValueError(f"positive branch requires E > -1 (Mc^2 units), got {energy}")
-        lam, lam_other = lam1, lam2
-    else:
-        lam, lam_other = lam2, lam1
-    mp = state.m_eff
-    nu2 = lam * (lam_other + 2.0 * sys.v0) - sys.omega_c * mp
-    beta2 = mp * mp + sys.rho0 ** 2 * sys.v0 * lam
-    gamma2 = (0.5 * sys.omega_c) ** 2 + sys.v0 * lam / sys.rho0 ** 2
+    if branch == POSITIVE and energy + 1.0 <= 0.0:
+        raise ValueError(f"positive branch requires E > -1 (Mc^2 units), got {energy}")
+    nu2, beta2, gamma2 = triple(energy)
     return SpectralParams(nu2=nu2, beta2=beta2, gamma2=gamma2, branch=branch)
-
-
-@dataclass(frozen=True)
-class NuConstants:
-    """Constants of the parametric reduction of the radial equation.
-
-    For the problem at hand only the alpha_3 = 0 family is needed:
-    xi1 = gamma^2/4, xi2 = nu^2/4, xi3 = beta^2/4.
-    """
-
-    xi1: float
-    xi2: float
-    xi3: float
-    alpha1: float
-    alpha2: float
-    alpha3: float
-    alpha4: float
-    alpha5: float
-    alpha6: float
-    alpha7: float
-    alpha8: float
-    alpha9: float
-    alpha10: float
-    alpha11: float
-    alpha12: float
-    alpha13: float
-
-
-def nu_constants(xi1, xi2, xi3):
-    """Fill the thirteen reduction constants from (xi1, xi2, xi3)."""
-    xi1, xi2, xi3 = float(xi1), float(xi2), float(xi3)
-    for name, val in (("xi1", xi1), ("xi2", xi2), ("xi3", xi3)):
-        if not math.isfinite(val):
-            raise ValueError(f"{name} must be finite")
-    if xi1 < 0.0 or xi3 < 0.0:
-        raise ValueError("xi1 and xi3 must be >= 0")
-    beta = 2.0 * math.sqrt(xi3)
-    gamma = 2.0 * math.sqrt(xi1)
-    return NuConstants(
-        xi1=xi1,
-        xi2=xi2,
-        xi3=xi3,
-        alpha1=1.0,
-        alpha2=0.0,
-        alpha3=0.0,
-        alpha4=0.0,
-        alpha5=0.0,
-        alpha6=xi1,
-        alpha7=-xi2,
-        alpha8=xi3,
-        alpha9=xi1,
-        alpha10=beta + 1.0,
-        alpha11=gamma,
-        alpha12=0.5 * beta,
-        alpha13=-0.5 * gamma,
-    )

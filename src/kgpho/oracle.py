@@ -27,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from . import spectra
-from .model import NEGATIVE, POSITIVE, spectral_params
+from .model import spectral_params
 
 __all__ = [
     "RadialGrid",
@@ -171,38 +170,6 @@ class OracleCheck:
     convergence_ratio: float
 
 
-def _reduced_problem(sys, state, level):
-    """(beta, gamma, nu^2) of the radial problem a solved level must satisfy."""
-    branch = level.branch
-    energy = level.energy
-    if branch in (POSITIVE, NEGATIVE):
-        p = spectral_params(sys, energy, state, branch)
-        if not p.bound_state:
-            raise ValueError(f"level at E={energy} is not a bound-state problem")
-        return p.beta, p.gamma, p.nu2
-    if branch == spectra.KG_PHO:
-        p = spectral_params(sys, energy, state, POSITIVE)
-        return p.beta, p.gamma, p.nu2
-    if branch == spectra.KG_HO:
-        beta = float(abs(state.m))
-        gamma = math.sqrt(sys.v0 * (energy + 1.0)) / sys.rho0
-        return beta, gamma, energy * energy - 1.0
-    if branch == spectra.FREE_FIELD:
-        return (
-            float(state.m_eff),
-            0.5 * sys.omega_c,
-            2.0 * energy - sys.omega_c * state.m_eff,
-        )
-    if branch in (spectra.NONREL_FIELDS, spectra.NONREL_PHO):
-        beta = math.hypot(state.m_eff, math.sqrt(2.0 * sys.v0) * sys.rho0)
-        gamma = math.sqrt((0.5 * sys.omega_c) ** 2 + 2.0 * sys.v0 / sys.rho0 ** 2)
-        nu2 = 2.0 * (energy + 2.0 * sys.v0) - sys.omega_c * state.m_eff
-        return beta, gamma, nu2
-    if branch == spectra.NONREL_HO:
-        return float(abs(state.m)), math.sqrt(2.0 * sys.v0) / sys.rho0, 2.0 * energy
-    raise ValueError(f"unknown branch {branch!r}")
-
-
 def oracle_check(sys, state, level, grid=None, n_points=None, r_max=None):
     """Verify one level against the discrete spectrum; full diagnostics.
 
@@ -210,9 +177,13 @@ def oracle_check(sys, state, level, grid=None, n_points=None, r_max=None):
     h/2 refinement, Richardson-extrapolates, and compares with the analytic
     nu^2 at the level's energy.  ``convergence_ratio`` is the ratio of the
     two grid errors measured against the analytic value (about 4 when the
-    scheme is in its clean h^2 regime and the level is correct).
+    scheme is in its clean h^2 regime and the level is correct).  The radial
+    problem is the level's row of the branch table at the level's energy.
     """
-    beta, gamma, nu2 = _reduced_problem(sys, state, level)
+    p = spectral_params(sys, level.energy, state, level.branch)
+    if not p.bound_state:
+        raise ValueError(f"level at E={level.energy} is not a bound-state problem")
+    beta, gamma, nu2 = p.beta, p.gamma, p.nu2
     if beta < 0.5:
         warnings.warn(
             f"beta = {beta:.4g} < 1/2: discretization error grows near the origin; "
@@ -222,10 +193,9 @@ def oracle_check(sys, state, level, grid=None, n_points=None, r_max=None):
         )
     if grid is None:
         grid = default_grid(beta, gamma, state.n + 1, n_points=n_points, r_max=r_max)
-    coarse = float(lowest_eigenvalues(discretize(beta, gamma, grid), state.n + 1)[state.n])
-    fine_grid = refine(grid)
-    fine = float(
-        lowest_eigenvalues(discretize(beta, gamma, fine_grid), state.n + 1)[state.n]
+    coarse, fine = (
+        float(lowest_eigenvalues(discretize(beta, gamma, g), state.n + 1)[state.n])
+        for g in (grid, refine(grid))
     )
     extrapolated = (4.0 * fine - coarse) / 3.0
     deviation = abs(nu2 - extrapolated) / abs(nu2)

@@ -1,7 +1,6 @@
-"""Special-function kernel: generalized Laguerre polynomials, the polynomial
-confluent hypergeometric function, and log-gamma for real (non-integer) order.
+"""Special-function kernel: generalized Laguerre polynomials.
 
-Only the polynomial cases are provided; the radial bound-state profiles never
+Only the polynomial case is provided; the radial bound-state profiles never
 need anything else.  ``laguerre`` accepts scalar or array arguments in x and
 is evaluated by the three-term upward recurrence, which is stable because the
 polynomial is the dominant solution of the recurrence for x >= 0.
@@ -13,7 +12,7 @@ import math
 
 import numpy as np
 
-__all__ = ["laguerre", "kummer_poly", "log_gamma"]
+__all__ = ["laguerre"]
 
 
 def _check_order(n, alpha):
@@ -46,37 +45,3 @@ def laguerre(n, alpha, x):
     for k in range(1, n):
         prev, cur = cur, ((2.0 * k + 1.0 + alpha - x) * cur - (k + alpha) * prev) / (k + 1.0)
     return cur if cur.ndim else float(cur)
-
-
-def kummer_poly(n, b, x):
-    """Polynomial confluent hypergeometric function F(-n, b; x).
-
-    The first parameter being the non-positive integer -n truncates the
-    series after n+1 terms.  Relates to the Laguerre polynomial through
-        L_n^(b)(x) = Gamma(n+b+1) / (Gamma(n+1) Gamma(b+1)) * F(-n, b+1; x),
-    factorials generalized to gamma functions for non-integer order.
-    """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
-        raise ValueError(
-            f"first parameter must be a non-positive integer -n with n >= 0, got -({n!r})"
-        )
-    if not math.isfinite(b) or b <= 0.0:
-        raise ValueError(f"second parameter must be a finite real > 0, got {b!r}")
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError("x must be finite")
-
-    total = 1.0
-    term = 1.0
-    for k in range(n):
-        term *= (k - n) / (b + k) * x / (k + 1.0)
-        total += term
-    return total
-
-
-def log_gamma(x):
-    """Natural log of the gamma function for x > 0."""
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x!r}")
-    return math.lgamma(x)

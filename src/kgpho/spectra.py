@@ -25,14 +25,23 @@ from typing import Optional
 import numpy as np
 
 from .model import (
+    BRANCHES,
+    FREE_FIELD,
+    KG_HO,
+    KG_PHO,
     NEGATIVE,
+    NONREL_FIELDS,
+    NONREL_HO,
+    NONREL_PHO,
     POSITIVE,
     DegenerateProblemError,
     QuantumState,
     make_state,
+    radial_problem,
 )
 
 __all__ = [
+    "BRANCHES",
     "FREE_FIELD",
     "NONREL_FIELDS",
     "NONREL_PHO",
@@ -58,16 +67,8 @@ __all__ = [
     "sweep_levels",
 ]
 
-FREE_FIELD = "free_field"
-NONREL_FIELDS = "nonrel_fields"
-NONREL_PHO = "nonrel_pho"
-KG_PHO = "kg_pho"
-KG_HO = "kg_ho"
-NONREL_HO = "nonrel_ho"
-
-BRANCHES = (POSITIVE, NEGATIVE, FREE_FIELD, NONREL_FIELDS, NONREL_PHO, KG_PHO, KG_HO, NONREL_HO)
-
 _SCAN_EDGE = 1e-9  # relative offset keeping the scan strictly inside the window
+_SCAN_POINTS = 10000
 
 
 @dataclass
@@ -124,18 +125,6 @@ def quantization_residual(p, n):
     return p.nu2 - 2.0 * (2.0 * n + 1.0 + p.beta) * p.gamma
 
 
-def _kg_residual(energy, sys, m_eff, n, branch):
-    """Quantization residual as a function of E; vectorizes over energy."""
-    lam1 = energy + 1.0
-    lam2 = energy - 1.0
-    lam, lam_other = (lam1, lam2) if branch == POSITIVE else (lam2, lam1)
-    v0, r0, om = sys.v0, sys.rho0, sys.omega_c
-    nu2 = lam * (lam_other + 2.0 * v0) - om * m_eff
-    beta = np.sqrt(np.maximum(m_eff * m_eff + r0 * r0 * v0 * lam, 0.0))
-    gamma = np.sqrt(np.maximum((0.5 * om) ** 2 + v0 * lam / (r0 * r0), 0.0))
-    return nu2 - 2.0 * (2.0 * n + 1.0 + beta) * gamma
-
-
 def _bisect(f, lo, hi, f_lo, f_hi):
     """Refine a bracketed sign change down to floating-point resolution."""
     if f_lo == 0.0:
@@ -156,26 +145,29 @@ def _bisect(f, lo, hi, f_lo, f_hi):
     return lo if abs(f_lo) <= abs(f_hi) else hi
 
 
-def _nonrel_energy_value(sys, state):
-    """Closed-form non-relativistic energy (the principal-root target)."""
-    om = sys.omega_c
-    omega_D = math.sqrt(2.0 * sys.v0) / sys.rho0
-    Omega = math.hypot(om, 2.0 * omega_D)
-    if Omega == 0.0:
-        raise DegenerateProblemError("no confining scale: v0 = 0 and b_field = 0")
-    m_tilde = math.hypot(state.m_eff, math.sqrt(2.0 * sys.v0) * sys.rho0)
-    return Omega * (state.n + 0.5 * (m_tilde + 1.0)) + 0.5 * om * state.m_eff - 2.0 * sys.v0
+def _residual(triple, n, sqrt=math.sqrt, clamp=max):
+    """f(E) = nu^2 - 2 (2n + 1 + beta) gamma on one table row; arrays take np.sqrt, np.maximum."""
+    c = 2.0 * n + 1.0
+
+    def f(e):
+        nu2, beta2, gamma2 = triple(e)
+        return nu2 - 2.0 * (c + sqrt(clamp(beta2, 0.0))) * sqrt(clamp(gamma2, 0.0))
+
+    return f
 
 
-def _scan_window(sys, state, branch):
-    """Admissible energy window (lo, hi) for the sign-change scan."""
+def _scan_window(sys, state, branch, gamma_nr):
+    """Admissible energy window (lo, hi) for the sign-change scan.
+
+    ``gamma_nr`` is gamma of the non-relativistic problem; it sets the
+    spacing of the levels, and with it the top of the window.
+    """
     v0, r0, om, mp, n = sys.v0, sys.rho0, sys.omega_c, state.m_eff, state.n
     if v0 == 0.0 and om == 0.0:
         raise DegenerateProblemError("no confining scale: v0 = 0 and b_field = 0")
     if v0 == 0.0 and mp == 0.0:
         raise DegenerateProblemError("beta vanishes identically: v0 = 0 and m' = 0")
 
-    gamma_nr = math.sqrt((0.5 * om) ** 2 + 2.0 * v0 / r0 ** 2)
     cap = 1.0 + 4.0 * (2.0 * n + 2.0 + abs(mp)) * max(gamma_nr, om)
 
     if branch == POSITIVE:
@@ -196,29 +188,31 @@ def _scan_window(sys, state, branch):
     return lo, cap
 
 
-def solve_kg_energy(sys, state, branch=POSITIVE, scan_points=10000):
+def solve_kg_energy(sys, state, branch=POSITIVE):
     """All roots of the transcendental bound-state condition, ascending.
 
-    Scans ``scan_points`` uniform energies over the admissible window, then
-    bisects every sign change to floating-point resolution.  The root closest
-    to Mc^2 plus the non-relativistic energy is flagged principal.  Returns
-    an empty list when no sign change exists in the window.
+    Scans 10,000 uniform energies over the admissible window, then bisects
+    every sign change to floating-point resolution.  The root closest to
+    Mc^2 plus the non-relativistic energy is flagged principal.  Returns an
+    empty list when no sign change exists in the window.
     """
     if branch not in (POSITIVE, NEGATIVE):
         raise ValueError(f"branch must be {POSITIVE!r} or {NEGATIVE!r}, got {branch!r}")
-    lo, hi = _scan_window(sys, state, branch)
-    mp, n = state.m_eff, state.n
+    # The non-relativistic row has nu^2(E) = 2 E + nu^2(0) and constant
+    # (beta, gamma), so its level is (2n + 1 + beta) gamma - nu^2(0) / 2.
+    nr_nu2, nr_beta2, nr_gamma2 = radial_problem(sys, state, NONREL_FIELDS)(0.0)
+    gamma_nr = math.sqrt(nr_gamma2)
+    lo, hi = _scan_window(sys, state, branch, gamma_nr)
+    triple = radial_problem(sys, state, branch)
+    f = _residual(triple, state.n)
 
-    grid = np.linspace(lo, hi, scan_points)
-    vals = _kg_residual(grid, sys, mp, n, branch)
-
-    def f(e):
-        return float(_kg_residual(e, sys, mp, n, branch))
+    grid = np.linspace(lo, hi, _SCAN_POINTS)
+    vals = _residual(triple, state.n, np.sqrt, np.maximum)(grid)
 
     roots = []
     sign = np.sign(vals)
     for i in np.flatnonzero(sign[:-1] * sign[1:] < 0.0):
-        roots.append(float(_bisect(f, grid[i], grid[i + 1], vals[i], vals[i + 1])))
+        roots.append(_bisect(f, float(grid[i]), float(grid[i + 1]), vals[i], vals[i + 1]))
     roots.extend(float(e) for e in grid[sign == 0.0])
     roots.sort()
 
@@ -226,33 +220,27 @@ def solve_kg_energy(sys, state, branch=POSITIVE, scan_points=10000):
         EnergyLevel(energy=e, branch=branch, state=state, residual=f(e)) for e in roots
     ]
     if levels:
-        target = 1.0 + _nonrel_energy_value(sys, state)
+        target = 1.0 + (2.0 * state.n + 1.0 + math.sqrt(nr_beta2)) * gamma_nr - 0.5 * nr_nu2
         principal = min(levels, key=lambda lev: abs(lev.energy - target))
         principal.principal = True
     return levels
 
 
 def landau_energy(n, m_eff, omega_c):
-    """Free-field level (n + m' + 1/2) omega_c, in Mc^2 units."""
+    """Free-field level (n + (m' + |m'|)/2 + 1/2) omega_c, in Mc^2 units."""
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise ValueError(f"n must be an integer >= 0, got {n!r}")
     if not math.isfinite(m_eff) or not math.isfinite(omega_c):
         raise ValueError("m_eff and omega_c must be finite")
     if omega_c < 0.0:
         raise ValueError(f"omega_c must be >= 0, got {omega_c}")
-    return (n + m_eff + 0.5) * omega_c
+    return (n + 0.5 * (m_eff + abs(m_eff)) + 0.5) * omega_c
 
 
 def _free_field_level(sys, state):
-    """Landau level packaged with its quantization residual.
-
-    The residual evaluates nu~^2 - 2 (2n + 1 + beta~) gamma~ with the
-    free-field parameter map nu~^2 = 2E - omega_c m', beta~ = m',
-    gamma~ = omega_c / 2.
-    """
-    om, mp, n = sys.omega_c, state.m_eff, state.n
-    energy = landau_energy(n, mp, om)
-    residual = (2.0 * energy - om * mp) - 2.0 * (2.0 * n + 1.0 + mp) * (0.5 * om)
+    """Landau level packaged with its residual on the free-field table row."""
+    energy = landau_energy(state.n, state.m_eff, sys.omega_c)
+    residual = _residual(radial_problem(sys, state, FREE_FIELD), state.n)(energy)
     return EnergyLevel(
         energy=energy, branch=FREE_FIELD, state=state, residual=residual, principal=True
     )
@@ -285,6 +273,8 @@ def nonrel_pho_energy(sys, state):
 
     E = -2 v0 + (1 + 2n + sqrt(m^2 + 2 v0 rho0^2)) sqrt(2 v0) / rho0.
     """
+    if sys.b_field != 0.0:
+        raise ValueError("field-free reduction requires b_field = 0")
     if sys.v0 <= 0.0:
         raise ValueError(f"pseudoharmonic reduction requires v0 > 0, got {sys.v0}")
     m_tilde = math.sqrt(state.m_eff ** 2 + 2.0 * sys.v0 * sys.rho0 ** 2)
@@ -294,64 +284,36 @@ def nonrel_pho_energy(sys, state):
     )
 
 
-def _kg_pho_residual(energy, sys, state):
-    """Field-free relativistic condition, in its reduced (divided) form:
-
-    (lambda_2 + 2 v0) sqrt(lambda_1) - (2 sqrt(v0)/rho0)(1 + 2n + beta).
-    """
-    lam1 = energy + 1.0
-    lam2 = energy - 1.0
-    v0, r0 = sys.v0, sys.rho0
-    beta = np.sqrt(np.maximum(state.m_eff ** 2 + v0 * r0 * r0 * lam1, 0.0))
-    lhs = (lam2 + 2.0 * v0) * np.sqrt(np.maximum(lam1, 0.0))
-    return lhs - 2.0 * math.sqrt(v0) / r0 * (1.0 + 2.0 * state.n + beta)
-
-
 def kg_pho_energy(sys, state):
     """Principal field-free relativistic pseudoharmonic level.
 
-    Solves the same bound-state condition as ``solve_kg_energy`` at
-    B = Phi = 0, but through the reduced field-free equation; agreement of
-    the two code paths is a library invariant.
+    The positive-branch level of ``solve_kg_energy`` at B = Phi = 0,
+    labelled ``kg_pho``.
     """
     if sys.b_field != 0.0 or sys.flux_xi != 0.0:
         raise ValueError("field-free reduction requires b_field = 0 and flux_xi = 0")
     if sys.v0 <= 0.0:
         raise ValueError(f"pseudoharmonic reduction requires v0 > 0, got {sys.v0}")
-    lo, hi = _scan_window(sys, state, POSITIVE)
-
-    grid = np.linspace(lo, hi, 10000)
-    vals = _kg_pho_residual(grid, sys, state)
-
-    def f(e):
-        return float(_kg_pho_residual(e, sys, state))
-
-    roots = []
-    sign = np.sign(vals)
-    for i in np.flatnonzero(sign[:-1] * sign[1:] < 0.0):
-        roots.append(float(_bisect(f, grid[i], grid[i + 1], vals[i], vals[i + 1])))
-    roots.extend(float(e) for e in grid[sign == 0.0])
-    if not roots:
-        raise DegenerateProblemError("no root of the field-free condition in the window")
-    target = 1.0 + _nonrel_energy_value(sys, state)
-    energy = min(roots, key=lambda e: abs(e - target))
-    return EnergyLevel(
-        energy=energy, branch=KG_PHO, state=state, residual=f(energy), principal=True
-    )
+    return replace(compute_level(sys, state, POSITIVE), branch=KG_PHO)
 
 
 def ho_params(sys, state):
     """Constants of the harmonic reduction: k, n', T and omega_D'."""
+    if sys.b_field != 0.0 or sys.flux_xi != 0.0:
+        raise ValueError("harmonic reduction requires b_field = 0 and flux_xi = 0")
     k = 2.0 * sys.v0 / sys.rho0 ** 2
     if k <= 0.0:
         raise ValueError(f"harmonic reduction requires k = 2 v0 / rho0^2 > 0, got {k}")
     n_prime = 1 + abs(state.m) + 2 * state.n
-    disc = 3.0 * k * (27.0 * k * n_prime ** 2 - 16.0)
-    if disc >= 0.0:
-        T = 27.0 * k * n_prime ** 2 - 8.0 + 3.0 * n_prime * math.sqrt(disc)
-    else:
-        T = math.nan
+    T = _cardano_t(k, n_prime) if 27.0 * k * n_prime ** 2 >= 16.0 else math.nan
     return HoParams(k=k, n_prime=n_prime, T=T, omega_Dp=math.sqrt(k))
+
+
+def _cardano_t(k, n_prime):
+    """Cardano intermediate T of the harmonic cubic; needs 27 k n'^2 >= 16."""
+    return 27.0 * k * n_prime ** 2 - 8.0 + 3.0 * n_prime * math.sqrt(
+        3.0 * k * (27.0 * k * n_prime ** 2 - 16.0)
+    )
 
 
 def kg_ho_closed_form(k, n_prime, paper_printed=False):
@@ -363,9 +325,7 @@ def kg_ho_closed_form(k, n_prime, paper_printed=False):
     """
     if 27.0 * k * n_prime ** 2 < 16.0:
         raise ValueError("closed form requires 27 k n'^2 >= 16")
-    T = 27.0 * k * n_prime ** 2 - 8.0 + 3.0 * n_prime * math.sqrt(
-        3.0 * k * (27.0 * k * n_prime ** 2 - 16.0)
-    )
+    T = _cardano_t(k, n_prime)
     coeff = 1.0 if paper_printed else 4.0
     return (1.0 + coeff * T ** (-1.0 / 3.0) + T ** (1.0 / 3.0)) / 3.0
 
@@ -436,11 +396,11 @@ def nonrel_ho_energy(sys, state):
 
 
 _LIMITS = {
-    "nonrel": NONREL_FIELDS,
-    "kg-pho": KG_PHO,
-    "kg-ho": KG_HO,
-    "nonrel-ho": NONREL_HO,
-    "nonrel-pho": NONREL_PHO,
+    "nonrel": lambda sys, state: nonrel_energy_with_fields(sys, state)[0],
+    "kg-pho": kg_pho_energy,
+    "kg-ho": kg_ho_energy,
+    "nonrel-ho": nonrel_ho_energy,
+    "nonrel-pho": nonrel_pho_energy,
 }
 
 
@@ -452,30 +412,18 @@ def compute_level(sys, state, branch=POSITIVE, limit=None):
     formula (those states reduce to the free problem).  Raises LookupError
     when the transcendental solver finds no root.
     """
-    if limit not in (None,) + tuple(_LIMITS):
-        raise ValueError(f"unknown limit {limit!r}; expected one of {sorted(_LIMITS)}")
-    if limit is None:
-        if branch == FREE_FIELD:
-            return _free_field_level(sys, state)
-        if branch == NEGATIVE and sys.v0 == 0.0:
-            return _free_field_level(sys, state)
-        if branch not in (POSITIVE, NEGATIVE):
-            raise ValueError(f"unknown branch {branch!r}")
-        levels = solve_kg_energy(sys, state, branch)
-        for lev in levels:
-            if lev.principal:
-                return lev
-        raise LookupError(f"no root found for n={state.n}, m={state.m}, branch={branch}")
-    target = _LIMITS[limit]
-    if target == NONREL_FIELDS:
-        return nonrel_energy_with_fields(sys, state)[0]
-    if target == KG_PHO:
-        return kg_pho_energy(sys, state)
-    if target == KG_HO:
-        return kg_ho_energy(sys, state)
-    if target == NONREL_HO:
-        return nonrel_ho_energy(sys, state)
-    return nonrel_pho_energy(sys, state)
+    if limit is not None:
+        if limit not in _LIMITS:
+            raise ValueError(f"unknown limit {limit!r}; expected one of {sorted(_LIMITS)}")
+        return _LIMITS[limit](sys, state)
+    if branch == FREE_FIELD or (branch == NEGATIVE and sys.v0 == 0.0):
+        return _free_field_level(sys, state)
+    if branch not in (POSITIVE, NEGATIVE):
+        raise ValueError(f"unknown branch {branch!r}")
+    for lev in solve_kg_energy(sys, state, branch):
+        if lev.principal:
+            return lev
+    raise LookupError(f"no root found for n={state.n}, m={state.m}, branch={branch}")
 
 
 @dataclass

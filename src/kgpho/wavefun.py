@@ -4,9 +4,10 @@ Every bound state in this problem has the same radial shape
 
     g(r) = N r^beta exp(-gamma r^2 / 2) L_n^(beta)(gamma r^2)
 
-with branch-specific (beta, gamma); the full planar wave function adds the
-azimuthal factor exp(i m phi) / sqrt(2 pi).  The normalization constant is
-chosen so that the radial norm under the plane measure is exactly one,
+with branch-specific (beta, gamma), read from the branch table in ``model``;
+the full planar wave function adds the azimuthal factor exp(i m phi) /
+sqrt(2 pi).  The normalization constant is chosen so that the radial norm
+under the plane measure is exactly one,
 
     integral_0^inf g(r)^2 r dr = 1  =>  N^2 Gamma(n+beta+1) / (2 n! gamma^(beta+1)) = 1.
 """
@@ -19,9 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import spectra
-from .model import NEGATIVE, POSITIVE, spectral_params
-from .specfun import laguerre, log_gamma
+from .specfun import laguerre
 
 __all__ = [
     "RadialWaveFunction",
@@ -32,7 +31,6 @@ __all__ = [
     "count_nodes",
     "turning_point",
     "support_radius",
-    "case_constants",
 ]
 
 
@@ -57,8 +55,8 @@ def normalization_constant(n, beta, gamma):
     log_n2 = (
         math.log(2.0)
         + (beta + 1.0) * math.log(gamma)
-        + log_gamma(n + 1.0)
-        - log_gamma(n + beta + 1.0)
+        + math.lgamma(n + 1.0)
+        - math.lgamma(n + beta + 1.0)
     )
     return math.exp(0.5 * log_n2)
 
@@ -130,33 +128,3 @@ def count_nodes(w, r_max=None, samples=None):
             stacklevel=2,
         )
     return int(flips.size)
-
-
-def case_constants(sys, state, level):
-    """Branch-specific (beta, gamma) of the radial profile for a solved level.
-
-    For the relativistic branches these come from the spectral triple at the
-    level's energy; the limiting cases use their reduced constants.  The
-    non-relativistic branches interpret ``level.energy`` as E - Mc^2.
-    """
-    branch = level.branch
-    if branch in (POSITIVE, NEGATIVE):
-        p = spectral_params(sys, level.energy, state, branch)
-        if not p.bound_state:
-            raise ValueError(f"no bound-state profile at E={level.energy} ({branch})")
-        return p.beta, p.gamma
-    if branch == spectra.KG_PHO:
-        p = spectral_params(sys, level.energy, state, POSITIVE)
-        return p.beta, p.gamma
-    if branch == spectra.KG_HO:
-        lam1 = level.energy + 1.0
-        return float(abs(state.m)), math.sqrt(sys.v0 * lam1) / sys.rho0
-    if branch == spectra.FREE_FIELD:
-        return float(state.m_eff), 0.5 * sys.omega_c
-    if branch in (spectra.NONREL_FIELDS, spectra.NONREL_PHO):
-        b = math.hypot(state.m_eff, math.sqrt(2.0 * sys.v0) * sys.rho0)
-        c = math.sqrt((0.5 * sys.omega_c) ** 2 + 2.0 * sys.v0 / sys.rho0 ** 2)
-        return b, c
-    if branch == spectra.NONREL_HO:
-        return float(abs(state.m)), math.sqrt(2.0 * sys.v0) / sys.rho0
-    raise ValueError(f"unknown branch {branch!r}")

@@ -84,6 +84,35 @@ def test_spectrum_config_errors(tmp_path):
     assert main(["nonsense"]) == 2
 
 
+def test_negative_n_is_config_error():
+    assert main(["spectrum", "--n", "-1"]) == 2
+    assert main(["spectrum", "--n", "-1..1"]) == 2
+    assert main(["sweep", "--vary", "b", "--start", "0", "--stop", "1", "--n", "-1"]) == 2
+    assert main(["wavefunction", "--beta", "1", "--gamma", "1", "--n", "-1"]) == 2
+
+
+def test_wavefunction_without_bound_state_exits_no_root(capsys):
+    # m = 0 in a pure field: beta = |m'| = 0, so the level has no radial profile.
+    for extra in (["--branch", "free"], ["--limit", "nonrel"]):
+        assert main(["wavefunction", "--v0", "0", "--b", "1", "--m", "0"] + extra) == 3
+        assert "no solvable level" in capsys.readouterr().err
+
+
+def test_oracle_grid_flags_are_config_errors():
+    for command in (["spectrum", "--verify"], ["verify"]):
+        assert main(command + ["--grid-n", "50"]) == 2
+        assert main(command + ["--r-max", "0"]) == 2
+        assert main(command + ["--r-max", "-1"]) == 2
+        assert main(command + ["--r-max", "inf"]) == 2
+
+
+def test_field_free_limits_reject_fields():
+    # kg-ho used to print the b = 0 level and echo m_eff = 0.5 while using |m|.
+    assert main(["spectrum", "--limit", "kg-ho", "--v0", "1", "--b", "1", "--xi", "0.5"]) == 2
+    assert main(["spectrum", "--limit", "kg-ho", "--v0", "1", "--xi", "0.5"]) == 2
+    assert main(["spectrum", "--limit", "nonrel-ho", "--v0", "1", "--b", "1"]) == 2
+
+
 def test_spectrum_json_matches_csv(tmp_path):
     args = ["spectrum", "--v0", "1", "--r0", "1", "--n", "0..1", "--m", "1..2"]
     csv_out = tmp_path / "a.csv"

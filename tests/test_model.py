@@ -10,7 +10,6 @@ from kgpho.model import (
     QuantumState,
     effective_quantum_number,
     make_state,
-    nu_constants,
     spectral_params,
 )
 
@@ -136,46 +135,3 @@ def test_branch_swap_is_charge_conjugation_for_nonzero_well():
         assert nu2_conj == pytest.approx(p.nu2, rel=1e-12, abs=1e-12)
         assert beta2_conj == pytest.approx(p.beta2, rel=1e-12, abs=1e-12)
         assert gamma2_conj == pytest.approx(p.gamma2, rel=1e-12, abs=1e-12)
-
-
-def test_nu_constants_table_values():
-    # beta = 2, gamma = 4 -> xi3 = 1, xi1 = 4
-    c = nu_constants(4.0, 1.0, 1.0)
-    assert c.alpha10 == 3.0
-    assert c.alpha11 == 4.0
-    assert c.alpha12 == 1.0
-    assert c.alpha13 == -2.0
-
-    z = nu_constants(0.0, 0.0, 0.0)
-    assert z.alpha1 == 1.0 and z.alpha10 == 1.0
-    assert all(
-        getattr(z, f"alpha{i}") == 0.0 for i in (2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13)
-    )
-
-    c = nu_constants(0.25, 0.5, 0.75)
-    assert c.alpha6 == 0.25 and c.alpha9 == 0.25
-    assert c.alpha7 == -0.5
-    assert c.alpha8 == 0.75
-    assert c.alpha10 == pytest.approx(1.0 + math.sqrt(3.0), rel=1e-15)
-
-
-def test_nu_constants_invariants_random():
-    rng = np.random.default_rng(42)
-    for _ in range(1000):
-        xi1 = float(rng.uniform(0.0, 9.0))
-        xi2 = float(rng.uniform(-5.0, 5.0))
-        xi3 = float(rng.uniform(0.0, 9.0))
-        c = nu_constants(xi1, xi2, xi3)
-        assert c.alpha2 == c.alpha3 == c.alpha4 == c.alpha5 == 0.0
-        assert c.alpha9 == c.alpha6
-        assert c.alpha10 == 1.0 + 2.0 * math.sqrt(xi3)
-        assert c.alpha11 == 2.0 * math.sqrt(c.alpha9)
-        assert c.alpha12 == math.sqrt(xi3)
-        assert c.alpha13 == -math.sqrt(c.alpha9)
-
-
-def test_nu_constants_domain():
-    with pytest.raises(ValueError):
-        nu_constants(-0.1, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        nu_constants(0.0, 0.0, -1.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from kgpho.specfun import kummer_poly, laguerre, log_gamma
+from kgpho.specfun import laguerre
 
 
 def laguerre_series(n, alpha, x):
@@ -148,62 +148,3 @@ def test_orthogonality_weighted_integrals(alpha):
                 else 0.0
             )
             assert abs(val - expected) <= 1e-8
-
-
-def test_kummer_trivial_and_two_term():
-    assert kummer_poly(0, 2.3, 5.0) == 1.0
-    assert kummer_poly(1, 2.0, 3.0) == pytest.approx(-0.5, abs=1e-15)
-
-
-def test_kummer_identity_one_term():
-    # F(-1, 2; x) = (2 - x)/2 = Gamma(2)/Gamma(3) * L_1^(1)(x)
-    for x in (0.0, 0.7, 2.0, 5.5):
-        assert kummer_poly(1, 2.0, x) == pytest.approx(0.5 * (2.0 - x), rel=1e-14, abs=1e-14)
-
-
-def test_kummer_rejects_non_polynomial_case():
-    with pytest.raises(ValueError):
-        kummer_poly(1.5, 2.0, 1.0)
-    with pytest.raises(ValueError):
-        kummer_poly(-2, 2.0, 1.0)
-    with pytest.raises(ValueError):
-        kummer_poly(2, 0.0, 1.0)
-
-
-def _kummer_envelope(n, b, x):
-    """Largest term magnitude of the finite F(-n, b; x) series."""
-    term = 1.0
-    env = 1.0
-    for k in range(n):
-        term *= (k - n) / (b + k) * x / (k + 1.0)
-        env = max(env, abs(term))
-    return env
-
-
-def test_laguerre_kummer_identity():
-    # L_n^(b)(x) = Gamma(n+b+1)/(Gamma(n+1) Gamma(b+1)) F(-n, b+1; x)
-    rng = np.random.default_rng(23)
-    for _ in range(40):
-        n = int(rng.integers(0, 21))
-        b = float(rng.uniform(0.05, 4.0))
-        x = float(rng.uniform(0.0, 30.0))
-        pref = math.exp(math.lgamma(n + b + 1.0) - math.lgamma(n + 1.0) - math.lgamma(b + 1.0))
-        lhs = laguerre(n, b, x)
-        rhs = pref * kummer_poly(n, b + 1.0, x)
-        # the alternating F series carries eps * envelope cancellation noise
-        scale = max(abs(lhs), abs(rhs), pref * _kummer_envelope(n, b + 1.0, x))
-        assert abs(lhs - rhs) <= 1e-12 * scale
-
-
-def test_log_gamma_known_values():
-    assert log_gamma(1.0) == 0.0
-    assert log_gamma(2.0) == 0.0
-    assert log_gamma(0.5) == pytest.approx(0.5723649429247001, rel=1e-13)
-    # Gamma(10) = 362880
-    assert log_gamma(10.0) == pytest.approx(math.log(362880.0), rel=1e-13)
-
-
-def test_log_gamma_domain():
-    for bad in (0.0, -1.5, math.nan):
-        with pytest.raises(ValueError):
-            log_gamma(bad)

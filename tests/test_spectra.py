@@ -12,6 +12,7 @@ from kgpho.model import (
     make_state,
     spectral_params,
 )
+from kgpho.oracle import verify_level
 from kgpho.spectra import (
     FREE_FIELD,
     compute_level,
@@ -157,6 +158,40 @@ def test_landau_matches_quantization_map_exactly():
         lhs = 2.0 * e - om * mp_
         rhs = 2.0 * (2 * n + 1 + mp_) * (0.5 * om)
         assert lhs == pytest.approx(rhs, rel=1e-14)
+
+
+def test_landau_level_for_negative_m_prime():
+    # beta~ = |m'|: for m' < 0 the level is (n + 1/2) omega_c, as the
+    # non-relativistic formula gives at v0 = 0, and the oracle agrees.
+    om = 1.3
+    for half in range(-6, 7):
+        if half == 0:
+            continue  # beta = 0 has no bound-state problem
+        m, xi = (half // 2, 0.5) if half % 2 else (half // 2, 0.0)
+        sys = PhysicalSystem(v0=0.0, rho0=1.0, b_field=om, flux_xi=xi)
+        for n in range(3):
+            st = make_state(n, m, xi)
+            assert st.m_eff == 0.5 * half
+            nonrel, _ = nonrel_energy_with_fields(sys, st)
+            assert landau_energy(n, st.m_eff, om) == pytest.approx(nonrel.energy, rel=1e-14)
+        st = make_state(0, m, xi)
+        lev = compute_level(sys, st, branch=FREE_FIELD)
+        assert compute_level(sys, st, branch=NEGATIVE).energy == lev.energy
+        assert verify_level(sys, st, lev) <= 1e-6
+
+
+def test_field_free_limits_reject_fields():
+    st = make_state(0, 1)
+    for sys in (PhysicalSystem(v0=1.0, b_field=0.5), PhysicalSystem(v0=1.0, flux_xi=0.5)):
+        with pytest.raises(ValueError):
+            ho_params(sys, st)
+        for limit in ("kg-ho", "nonrel-ho"):
+            with pytest.raises(ValueError):
+                compute_level(sys, st, limit=limit)
+    with pytest.raises(ValueError):
+        nonrel_pho_energy(PhysicalSystem(v0=1.0, b_field=0.5), st)
+    with pytest.raises(ValueError):
+        compute_level(PhysicalSystem(v0=1.0, b_field=0.5), st, limit="nonrel-pho")
 
 
 def test_nonrel_energy_with_fields_example():

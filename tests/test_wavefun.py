@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from kgpho.model import PhysicalSystem, make_state
+from kgpho.model import PhysicalSystem, make_state, spectral_params
 from kgpho.spectra import compute_level
 from kgpho.wavefun import (
     RadialWaveFunction,
-    case_constants,
     count_nodes,
     eval_psi,
     eval_radial,
@@ -180,6 +179,12 @@ def test_radial_ode_residual():
             potential = nu2 - gamma**2 * r**2 - (beta**2 - 0.25) / r**2
             terms = max(abs(rpp), abs(potential * rv), nu2 * abs(rv))
             assert abs(rpp + potential * rv) <= 1e-6 * terms
+
+
+def case_constants(sys, st, lev):
+    """(beta, gamma) of a solved level's row of the branch table."""
+    p = spectral_params(sys, lev.energy, st, lev.branch)
+    return p.beta, p.gamma
 
 
 def test_case_constants_against_limits():
