@@ -1,21 +1,29 @@
 """Independent finite-difference verification of the analytic spectra.
 
-The radial equation in its Schroedinger form,
+Every level is an eigenvalue nu^2 of the radial problem
 
     R'' + (nu^2 - gamma^2 r^2 - (beta^2 - 1/4) / r^2) R = 0,
 
-is discretized on a uniform grid with second-order central differences and
-Dirichlet ends; the resulting symmetric tridiagonal matrix has eigenvalues
-approximating nu^2_n = 2 (2n + 1 + beta) gamma, with no analytic formula
-reused anywhere in the pipeline.  Eigenvalues are extracted by Sturm-count
-bisection (LAPACK dstebz), and the reported oracle value is the Richardson
-extrapolation over a grid and its exact h/2 refinement.
+whose solutions behave as r^(beta+1/2) at the origin.  The oracle solves its
+regular form: with R = r^(beta+1/2) u, the factor u solves
 
-Grid policy: the plain 3-point scheme converges as h^2 only where the
-eigenfunction r^(beta+1/2) is smooth at the origin.  For non-half-integer
-exponents with beta < ~1.2 the observed order drops to h^(2 beta), so the
-default resolution is raised in that zone to keep the extrapolated values
-comfortably below 1e-6 relative error.
+    (r^(2 beta + 1) u')' = r^(2 beta + 1) (gamma^2 r^2 - nu^2) u,   u(r_max) = 0,
+
+and is smooth at the origin for every beta > 0.  Finite volumes on the nodes
+r_i = i h (cell i spans [(i - 1/2) h, (i + 1/2) h], cell 0 starts at the
+origin) give A u = nu^2 W u, with A symmetric tridiagonal and W the diagonal
+of cell integrals of r^(2 beta + 1); W^(-1/2) A W^(-1/2) is again symmetric
+tridiagonal, and its eigenvalues come from Sturm-count bisection (LAPACK
+dstebz).  The error is a clean h^2 for every beta, so one grid of 4,000
+points serves every level, and the Richardson extrapolation over the grid
+and its exact h/2 refinement is accurate, with a ratio of the two grid
+errors near 4.  The weights scale as r^(2 beta + 2), which at large beta
+underflows near the origin or overflows on a wide box, so they are held as
+logarithms and only the ratios the matrix needs are exponentiated.
+
+No analytic eigenvalue or eigenfunction is reused.  The box radius is
+``wavefun.support_radius`` of the highest requested level, outside which a
+true eigenfunction carries less than 1e-12 of its norm.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .model import spectral_params
+from .wavefun import support_radius
 
 __all__ = [
     "RadialGrid",
@@ -41,41 +50,40 @@ __all__ = [
     "verify_level",
 ]
 
-_RMIN_FRACTION = 1e-12  # keeps the wall shift far below the h^2 error
+_N_POINTS = 4000
 
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform interior grid with Dirichlet values at r_min and r_max."""
+    """Nodes r_i = i h, i = 0..n_points-1, with h = r_max / n_points and u(r_max) = 0."""
 
-    r_min: float
     r_max: float
     n_points: int
 
     def __post_init__(self):
-        if not (0.0 < self.r_min < self.r_max) or not math.isfinite(self.r_max):
-            raise ValueError(f"need 0 < r_min < r_max, got [{self.r_min}, {self.r_max}]")
+        if not (math.isfinite(self.r_max) and self.r_max > 0.0):
+            raise ValueError(f"r_max must be finite and > 0, got {self.r_max}")
         if self.n_points < 100:
             raise ValueError(f"n_points must be >= 100, got {self.n_points}")
 
     @property
     def h(self):
-        return (self.r_max - self.r_min) / (self.n_points + 1)
+        return self.r_max / self.n_points
 
     @property
     def points(self):
-        """Interior points r_i = r_min + i h, i = 1..n_points."""
-        return self.r_min + self.h * np.arange(1, self.n_points + 1)
+        """The nodes r_i = i h, starting at the origin."""
+        return self.h * np.arange(self.n_points)
 
 
 def refine(grid):
-    """Grid with exactly half the spacing (n -> 2n + 1), same endpoints."""
-    return RadialGrid(grid.r_min, grid.r_max, 2 * grid.n_points + 1)
+    """Grid with exactly half the spacing (n -> 2n), same box."""
+    return RadialGrid(grid.r_max, 2 * grid.n_points)
 
 
 @dataclass(frozen=True)
 class TridiagonalOperator:
-    """Symmetric tridiagonal discretization of -d^2/dr^2 + V(r)."""
+    """Symmetric tridiagonal matrix whose eigenvalues approximate nu^2."""
 
     diag: np.ndarray
     offdiag: np.ndarray
@@ -86,18 +94,14 @@ class TridiagonalOperator:
 
 
 def discretize(beta, gamma, grid):
-    """Discrete -d^2/dr^2 + gamma^2 r^2 + (beta^2 - 1/4)/r^2, Dirichlet ends.
+    """Scaled finite-volume matrix of the regular form on ``grid``.
 
-    Warns when the oscillator part of the potential is unresolved,
-    h^2 max(gamma^2 r^2) > 0.1.  The centrifugal value at the first interior
-    point scales as 1/h^2 on any grid, so it carries no resolution
-    information and is excluded from the coarseness check.
+    Warns when the oscillator term is unresolved, h^2 max(gamma^2 r^2) > 0.1.
     """
     if not (math.isfinite(beta) and beta > 0.0):
         raise ValueError(f"beta must be a finite real > 0, got {beta!r}")
     if not (math.isfinite(gamma) and gamma > 0.0):
         raise ValueError(f"gamma must be a finite real > 0, got {gamma!r}")
-    r = grid.points
     h = grid.h
     if h * h * gamma ** 2 * grid.r_max ** 2 > 0.1:
         warnings.warn(
@@ -105,9 +109,16 @@ def discretize(beta, gamma, grid):
             UserWarning,
             stacklevel=2,
         )
-    potential = gamma ** 2 * r ** 2 + (beta ** 2 - 0.25) / (r * r)
-    diag = 2.0 / (h * h) + potential
-    offdiag = np.full(grid.n_points - 1, -1.0 / (h * h))
+    a = 2.0 * beta + 2.0
+    log_face = np.log(h * (np.arange(grid.n_points) + 0.5))  # outer face of each cell
+    log_inner = np.concatenate(([-np.inf], log_face[:-1]))
+    # log of the cell weight (outer^a - inner^a) / a
+    log_w = a * log_face + np.log(-np.expm1(a * (log_inner - log_face))) - math.log(a)
+    # log of the face flux coefficient r^(2 beta + 1) / h
+    log_p = (a - 1.0) * log_face - math.log(h)
+    diag = np.exp(log_p - log_w) + gamma ** 2 * grid.points ** 2
+    diag[1:] += np.exp(log_p[:-1] - log_w[1:])
+    offdiag = -np.exp(log_p[:-1] - 0.5 * (log_w[:-1] + log_w[1:]))
     return TridiagonalOperator(diag=diag, offdiag=offdiag)
 
 
@@ -131,31 +142,17 @@ def lowest_eigenvalues(op, count):
     )
 
 
-def _default_n_points(beta):
-    """Resolution by smoothness zone of r^(beta+1/2) at the origin."""
-    if beta < 0.8:
-        return 64000
-    if beta < 1.2:
-        return 16000
-    return 4000
-
-
 def default_grid(beta, gamma, levels, n_points=None, r_max=None):
     """Grid resolving the lowest ``levels`` eigenvalues of (beta, gamma).
 
-    r_max defaults to 2.5x the classical turning radius of the highest
-    requested level; r_min is a tiny positive offset (the Dirichlet value at
-    the origin is exact for beta > 0, and the wall shift at r_min scales as
-    r_min^(2 beta)).
+    Defaults: 4,000 points for every beta, and the box radius of
+    ``wavefun.support_radius`` for the highest requested level.
     """
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
-    nu2_top = 2.0 * (2.0 * (levels - 1) + 1.0 + beta) * gamma
     if r_max is None:
-        r_max = 2.5 * math.sqrt(nu2_top) / gamma
-    if n_points is None:
-        n_points = _default_n_points(beta)
-    return RadialGrid(r_min=_RMIN_FRACTION * r_max, r_max=r_max, n_points=n_points)
+        r_max = support_radius(levels - 1, beta, gamma)
+    return RadialGrid(r_max=r_max, n_points=_N_POINTS if n_points is None else n_points)
 
 
 @dataclass(frozen=True)
@@ -170,29 +167,21 @@ class OracleCheck:
     convergence_ratio: float
 
 
-def oracle_check(sys, state, level, grid=None, n_points=None, r_max=None):
+def oracle_check(sys, state, level, n_points=None, r_max=None):
     """Verify one level against the discrete spectrum; full diagnostics.
 
-    Extracts the (n+1)-th discrete eigenvalue on ``grid`` and on its exact
-    h/2 refinement, Richardson-extrapolates, and compares with the analytic
-    nu^2 at the level's energy.  ``convergence_ratio`` is the ratio of the
-    two grid errors measured against the analytic value (about 4 when the
-    scheme is in its clean h^2 regime and the level is correct).  The radial
-    problem is the level's row of the branch table at the level's energy.
+    Extracts the (n+1)-th discrete eigenvalue on the default grid and on its
+    exact h/2 refinement, Richardson-extrapolates, and compares with the
+    analytic nu^2 at the level's energy.  ``convergence_ratio`` is the ratio
+    of the two grid errors measured against the analytic value (about 4 when
+    the level is correct).  The radial problem is the level's row of the
+    branch table at the level's energy.
     """
     p = spectral_params(sys, level.energy, state, level.branch)
     if not p.bound_state:
         raise ValueError(f"level at E={level.energy} is not a bound-state problem")
     beta, gamma, nu2 = p.beta, p.gamma, p.nu2
-    if beta < 0.5:
-        warnings.warn(
-            f"beta = {beta:.4g} < 1/2: discretization error grows near the origin; "
-            "reduced confidence",
-            UserWarning,
-            stacklevel=2,
-        )
-    if grid is None:
-        grid = default_grid(beta, gamma, state.n + 1, n_points=n_points, r_max=r_max)
+    grid = default_grid(beta, gamma, state.n + 1, n_points=n_points, r_max=r_max)
     coarse, fine = (
         float(lowest_eigenvalues(discretize(beta, gamma, g), state.n + 1)[state.n])
         for g in (grid, refine(grid))
@@ -211,13 +200,13 @@ def oracle_check(sys, state, level, grid=None, n_points=None, r_max=None):
     )
 
 
-def verify_level(sys, state, level, grid=None, tol=None, n_points=None, r_max=None):
+def verify_level(sys, state, level, tol=None, n_points=None, r_max=None):
     """Relative deviation of the analytic level from the discrete eigenvalue.
 
     Fills ``level.oracle_dev``.  When ``tol`` is given, exceeding it emits a
     no-convergence warning (the value is still returned).
     """
-    check = oracle_check(sys, state, level, grid=grid, n_points=n_points, r_max=r_max)
+    check = oracle_check(sys, state, level, n_points=n_points, r_max=r_max)
     level.oracle_dev = check.deviation
     if tol is not None and check.deviation > tol:
         warnings.warn(

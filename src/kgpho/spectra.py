@@ -53,6 +53,7 @@ __all__ = [
     "HoParams",
     "SweepRow",
     "quantization_residual",
+    "failure_status",
     "solve_kg_energy",
     "landau_energy",
     "nonrel_energy_with_fields",
@@ -75,9 +76,10 @@ _SCAN_POINTS = 10000
 class EnergyLevel:
     """One solved level: value, branch, quantum numbers, diagnostics.
 
-    ``residual`` is the value of the defining equation at ``energy`` (zero
-    for levels given by explicit closed forms).  ``oracle_dev`` is filled by
-    the finite-difference verification, never by the solvers themselves.
+    ``residual`` is nu^2 - 2 (2n + 1 + beta) gamma on the level's own row of
+    the branch table at ``energy``, for every branch and limit.
+    ``oracle_dev`` is filled by the finite-difference verification, never by
+    the solvers themselves.
     """
 
     energy: float
@@ -123,6 +125,12 @@ def quantization_residual(p, n):
             f"got beta2={p.beta2}, gamma2={p.gamma2}"
         )
     return p.nu2 - 2.0 * (2.0 * n + 1.0 + p.beta) * p.gamma
+
+
+def failure_status(exc):
+    """Row status of a level that could not be solved: ``degenerate`` for a
+    problem without a bound state, ``no_root`` for a solve that found none."""
+    return "degenerate" if isinstance(exc, DegenerateProblemError) else "no_root"
 
 
 def _bisect(f, lo, hi, f_lo, f_hi):
@@ -237,12 +245,11 @@ def landau_energy(n, m_eff, omega_c):
     return (n + 0.5 * (m_eff + abs(m_eff)) + 0.5) * omega_c
 
 
-def _free_field_level(sys, state):
-    """Landau level packaged with its residual on the free-field table row."""
-    energy = landau_energy(state.n, state.m_eff, sys.omega_c)
-    residual = _residual(radial_problem(sys, state, FREE_FIELD), state.n)(energy)
+def _closed_form_level(sys, state, branch, energy):
+    """A closed-form level packaged with its residual on its table row."""
+    residual = _residual(radial_problem(sys, state, branch), state.n)(energy)
     return EnergyLevel(
-        energy=energy, branch=FREE_FIELD, state=state, residual=residual, principal=True
+        energy=energy, branch=branch, state=state, residual=residual, principal=True
     )
 
 
@@ -262,9 +269,7 @@ def nonrel_energy_with_fields(sys, state):
     a = k_F * sys.rho0
     m_tilde = math.hypot(state.m_eff, a)
     energy = Omega * (state.n + 0.5 * (m_tilde + 1.0)) + 0.5 * om * state.m_eff - 2.0 * sys.v0
-    level = EnergyLevel(
-        energy=energy, branch=NONREL_FIELDS, state=state, residual=0.0, principal=True
-    )
+    level = _closed_form_level(sys, state, NONREL_FIELDS, energy)
     return level, NonRelParams(Omega=Omega, omega_D=omega_D, a=a, k_F=k_F, m_tilde=m_tilde)
 
 
@@ -276,12 +281,10 @@ def nonrel_pho_energy(sys, state):
     if sys.b_field != 0.0:
         raise ValueError("field-free reduction requires b_field = 0")
     if sys.v0 <= 0.0:
-        raise ValueError(f"pseudoharmonic reduction requires v0 > 0, got {sys.v0}")
+        raise DegenerateProblemError(f"pseudoharmonic reduction requires v0 > 0, got {sys.v0}")
     m_tilde = math.sqrt(state.m_eff ** 2 + 2.0 * sys.v0 * sys.rho0 ** 2)
     energy = -2.0 * sys.v0 + (1.0 + 2.0 * state.n + m_tilde) * math.sqrt(2.0 * sys.v0) / sys.rho0
-    return EnergyLevel(
-        energy=energy, branch=NONREL_PHO, state=state, residual=0.0, principal=True
-    )
+    return _closed_form_level(sys, state, NONREL_PHO, energy)
 
 
 def kg_pho_energy(sys, state):
@@ -293,7 +296,7 @@ def kg_pho_energy(sys, state):
     if sys.b_field != 0.0 or sys.flux_xi != 0.0:
         raise ValueError("field-free reduction requires b_field = 0 and flux_xi = 0")
     if sys.v0 <= 0.0:
-        raise ValueError(f"pseudoharmonic reduction requires v0 > 0, got {sys.v0}")
+        raise DegenerateProblemError(f"pseudoharmonic reduction requires v0 > 0, got {sys.v0}")
     return replace(compute_level(sys, state, POSITIVE), branch=KG_PHO)
 
 
@@ -303,7 +306,7 @@ def ho_params(sys, state):
         raise ValueError("harmonic reduction requires b_field = 0 and flux_xi = 0")
     k = 2.0 * sys.v0 / sys.rho0 ** 2
     if k <= 0.0:
-        raise ValueError(f"harmonic reduction requires k = 2 v0 / rho0^2 > 0, got {k}")
+        raise DegenerateProblemError(f"harmonic reduction requires k = 2 v0 / rho0^2 > 0, got {k}")
     n_prime = 1 + abs(state.m) + 2 * state.n
     T = _cardano_t(k, n_prime) if 27.0 * k * n_prime ** 2 >= 16.0 else math.nan
     return HoParams(k=k, n_prime=n_prime, T=T, omega_Dp=math.sqrt(k))
@@ -362,9 +365,7 @@ def kg_ho_energy(sys, state):
             UserWarning,
             stacklevel=2,
         )
-    return EnergyLevel(
-        energy=energy, branch=KG_HO, state=state, residual=f(energy), principal=True
-    )
+    return _closed_form_level(sys, state, KG_HO, energy)
 
 
 def kg_ho_series(sys, lambda2, order):
@@ -389,10 +390,7 @@ def kg_ho_series(sys, lambda2, order):
 def nonrel_ho_energy(sys, state):
     """Non-relativistic harmonic level E' = (1 + |m| + 2n) omega_D'."""
     hp = ho_params(sys, state)
-    energy = hp.n_prime * hp.omega_Dp
-    return EnergyLevel(
-        energy=energy, branch=NONREL_HO, state=state, residual=0.0, principal=True
-    )
+    return _closed_form_level(sys, state, NONREL_HO, hp.n_prime * hp.omega_Dp)
 
 
 _LIMITS = {
@@ -417,7 +415,8 @@ def compute_level(sys, state, branch=POSITIVE, limit=None):
             raise ValueError(f"unknown limit {limit!r}; expected one of {sorted(_LIMITS)}")
         return _LIMITS[limit](sys, state)
     if branch == FREE_FIELD or (branch == NEGATIVE and sys.v0 == 0.0):
-        return _free_field_level(sys, state)
+        energy = landau_energy(state.n, state.m_eff, sys.omega_c)
+        return _closed_form_level(sys, state, FREE_FIELD, energy)
     if branch not in (POSITIVE, NEGATIVE):
         raise ValueError(f"unknown branch {branch!r}")
     for lev in solve_kg_energy(sys, state, branch):
@@ -445,8 +444,9 @@ def sweep_levels(sys_template, vary, value_range, states, branch=POSITIVE, limit
     """Solve each state across a parameter grid; report adjacent-m splittings.
 
     ``value_range`` is (lo, hi, steps), steps >= 2, endpoints included.  Rows
-    are ordered by (parameter value, n, m); per-point solver failures become
-    flagged rows instead of aborting the sweep.  ``delta_e`` holds the
+    are ordered by (parameter value, n, m); a point without a bound state or
+    without a root becomes a row whose ``status`` is ``failure_status`` of the
+    error, instead of aborting the sweep.  ``delta_e`` holds the
     splitting from the previous m at the same (value, n), where defined.
     """
     if vary not in _SWEEPABLE:
@@ -471,10 +471,10 @@ def sweep_levels(sys_template, vary, value_range, states, branch=POSITIVE, limit
             try:
                 level = compute_level(sys_point, state, branch=branch, limit=limit)
                 row = SweepRow(param=vary, value=value, state=state, level=level)
-            except (DegenerateProblemError, LookupError, ValueError) as exc:
+            except (DegenerateProblemError, LookupError) as exc:
                 row = SweepRow(
                     param=vary, value=value, state=state, level=None,
-                    status=type(exc).__name__,
+                    status=failure_status(exc),
                 )
             key = (value, state.n)
             if row.level is not None and prev_key == key and prev_energy is not None:

@@ -93,13 +93,10 @@ def turning_point(w):
     return math.sqrt(2.0 * (2.0 * w.n + 1.0 + w.beta) / w.gamma)
 
 
-def support_radius(w, tail=40.0):
-    """Radius beyond which the squared profile carries negligible norm.
-
-    ``tail`` is the extra margin in the gamma r^2 variable; the default 40
-    leaves less than 1e-12 of the norm outside.
-    """
-    return math.sqrt((2.0 * (2.0 * w.n + 1.0 + w.beta) + tail) / w.gamma)
+def support_radius(n, beta, gamma):
+    """Radius beyond which the squared profile of (n, beta, gamma) carries
+    less than 1e-12 of the norm: gamma r^2 is 40 past the turning point."""
+    return math.sqrt((2.0 * (2.0 * n + 1.0 + beta) + 40.0) / gamma)
 
 
 def count_nodes(w, r_max=None, samples=None):

@@ -1,4 +1,5 @@
-"""Every level the library returns satisfies its own row of the branch table."""
+"""Every level the library returns satisfies its own row of the branch table,
+and reports that row's quantization residual as ``residual``."""
 
 import pytest
 from hypothesis import assume, given, settings
@@ -52,6 +53,7 @@ def test_every_level_satisfies_its_table_row(sys, n, m, request):
         return
     residual = quantization_residual(p, n)
     assert abs(residual) <= 1e-9 * max(1.0, abs(p.nu2))
+    assert level.residual == residual
 
 
 def test_table_covers_every_branch_and_rejects_others():

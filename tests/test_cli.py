@@ -248,9 +248,50 @@ def test_sweep_flux_equivalence(tmp_path):
     assert key[(1.0, 1)] == pytest.approx(key[(0.0, 2)], rel=1e-12)
 
 
-def test_sweep_config_errors():
+def test_sweep_config_errors(capsys):
     assert main(["sweep", "--vary", "b", "--start", "0", "--stop", "1", "--steps", "1"]) == 2
     assert main(["sweep", "--start", "0", "--stop", "1"]) == 2  # --vary required
+    for limit in ("kg-pho", "kg-ho", "nonrel-ho"):
+        for vary in ("b", "xi"):
+            args = ["sweep", "--limit", limit, "--vary", vary, "--start", "0", "--stop", "1"]
+            assert main(args) == 2
+            assert "(--vary)" in capsys.readouterr().err
+    assert main(["sweep", "--vary", "v0", "--start", "-1", "--stop", "1"]) == 2
+    assert "(--start)" in capsys.readouterr().err
+    assert main(["sweep", "--vary", "b", "--start", "0", "--stop", "-1"]) == 2
+    assert "(--stop)" in capsys.readouterr().err
+
+
+def test_sweep_failed_rows_use_spectrum_statuses(tmp_path):
+    out = tmp_path / "sweep_v0.csv"
+    main(
+        ["sweep", "--limit", "kg-ho", "--vary", "v0", "--start", "0", "--stop", "1",
+         "--steps", "2", "--n", "0", "--m", "1", "--out", str(out)]
+    )
+    assert [r["status"] for r in read_csv(out)] == ["degenerate", "ok"]
+
+
+def test_verify_free_field_small_beta(tmp_path):
+    # beta = m' = 0.3: exact Landau levels that the oracle must pass.
+    out = tmp_path / "verify_free.csv"
+    code = main(
+        ["verify", "--branch", "free", "--v0", "0", "--b", "1", "--xi", "0.3",
+         "--n", "0..1", "--m", "0", "--out", str(out)]
+    )
+    assert code == 0
+    for r in read_csv(out):
+        assert 3.6 <= float(r["convergence_ratio"]) <= 4.4
+
+
+def test_verify_deviation_floor(tmp_path):
+    out = tmp_path / "verify_kg_ho.csv"
+    main(
+        ["verify", "--limit", "kg-ho", "--v0", "2.5", "--r0", "0.6",
+         "--n", "0..2", "--m", "0..2", "--out", str(out)]
+    )
+    devs = [float(r["oracle_dev"]) for r in read_csv(out) if r["oracle_dev"] != ""]
+    assert len(devs) >= 6
+    assert max(devs) <= 1e-9
 
 
 def test_stdout_output(capsys):

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
-from kgpho.model import PhysicalSystem, make_state
+from kgpho.model import FREE_FIELD, PhysicalSystem, make_state
 from kgpho.oracle import (
     RadialGrid,
     default_grid,
@@ -19,68 +21,90 @@ from kgpho.spectra import EnergyLevel, compute_level, landau_energy
 
 def test_grid_validation_and_spacing():
     with pytest.raises(ValueError):
-        RadialGrid(0.0, 10.0, 500)
+        RadialGrid(0.0, 500)
     with pytest.raises(ValueError):
-        RadialGrid(1e-6, 10.0, 99)
+        RadialGrid(10.0, 99)
     with pytest.raises(ValueError):
-        RadialGrid(5.0, 1.0, 500)
-    g = RadialGrid(1e-6, 12.0, 4000)
-    assert g.h == (12.0 - 1e-6) / 4001
+        RadialGrid(math.inf, 500)
+    g = RadialGrid(12.0, 4000)
+    assert g.h == 12.0 / 4000
     assert g.points.shape == (4000,)
-    assert g.points[0] == pytest.approx(1e-6 + g.h)
+    assert g.points[0] == 0.0
+    assert g.points[-1] == pytest.approx(12.0 - g.h)
 
 
 def test_refine_halves_spacing_exactly():
-    g = RadialGrid(1e-9, 8.0, 4000)
+    g = RadialGrid(8.0, 4000)
     g2 = refine(g)
-    assert g2.n_points == 8001
-    assert g2.h == pytest.approx(g.h / 2.0, rel=1e-15)
+    assert g2.n_points == 8000
+    assert g2.h == g.h / 2.0
 
 
 def test_discretize_structure():
-    g = RadialGrid(1e-6, 12.0, 500)
-    op = discretize(1.0, 1.0, g)
-    r = g.points
-    v = r**2 + 0.75 / r**2
-    assert np.allclose(op.diag - 2.0 / g.h**2, v, rtol=1e-13)
-    assert np.all(op.offdiag == -1.0 / g.h**2)
-    # beta = 1/2 removes the centrifugal term entirely (absolute tolerance:
-    # recovering small r^2 from diag costs one ulp of 2/h^2)
-    op_half = discretize(0.5, 1.0, g)
-    absorb = 4.0 * np.finfo(float).eps * 2.0 / g.h**2
-    assert np.allclose(op_half.diag - 2.0 / g.h**2, r**2, rtol=1e-12, atol=absorb)
-    # spot value: V(1) = 1 + 3/4 at beta = 1, gamma = 1 (nearest grid point)
-    i = np.argmin(np.abs(r - 1.0))
-    assert op.diag[i] - 2.0 / g.h**2 == pytest.approx(1.75, abs=0.6 * g.h)
+    beta, gamma = 1.3, 0.8
+    g = RadialGrid(12.0, 500)
+    op = discretize(beta, gamma, g)
+    h, a = g.h, 2.0 * beta + 2.0
+    face = h * (np.arange(500) + 0.5)
+    inner = np.concatenate(([0.0], face[:-1]))
+    weight = (face**a - inner**a) / a  # cell integrals of r^(2 beta + 1)
+    assert np.allclose(
+        op.offdiag, -face[:-1] ** (a - 1.0) / (h * np.sqrt(weight[:-1] * weight[1:])), rtol=1e-12
+    )
+    # A constant u carries no flux through the inner faces, so the unscaled
+    # matrix W^(1/2) M W^(1/2) maps it to gamma^2 r^2 W on every row but the
+    # last, whose outer face is the Dirichlet wall.
+    root_w = np.sqrt(weight)
+    m_root_w = op.diag * root_w
+    m_root_w[:-1] += op.offdiag * root_w[1:]
+    m_root_w[1:] += op.offdiag * root_w[:-1]
+    row_over_w = m_root_w / root_w
+    # cancelling terms of size 1/h^2 leave rounding below 1e-12 / h^2
+    assert np.allclose(row_over_w[:-1], (gamma * g.points[:-1]) ** 2, rtol=0.0, atol=1e-12 / g.h**2)
+    assert row_over_w[-1] > (gamma * g.points[-1]) ** 2 + 1.0 / g.h**2
+
+
+def test_discretize_holds_weights_as_logs():
+    # At beta = 60 the first cell weight of the refined grid, about
+    # (h/4)^(2 beta + 2), underflows to 0; the matrix needs only ratios of
+    # weights, which stay finite, and the level comes out right.
+    beta, gamma = 60.0, 100.0
+    grid = default_grid(beta, gamma, 1)
+    assert (grid.h / 4.0) ** (2.0 * beta + 2.0) == 0.0
+    ops = [discretize(beta, gamma, g) for g in (grid, refine(grid))]
+    assert all(np.all(np.isfinite(op.diag)) and np.all(np.isfinite(op.offdiag)) for op in ops)
+    coarse, fine = (lowest_eigenvalues(op, 1)[0] for op in ops)
+    expect = 2.0 * (1.0 + beta) * gamma
+    assert abs((4.0 * fine - coarse) / 3.0 - expect) / expect <= 1e-8
 
 
 def test_discretize_domain_and_coarseness_warning():
-    g = RadialGrid(1e-6, 12.0, 500)
+    g = RadialGrid(12.0, 500)
     with pytest.raises(ValueError):
         discretize(0.0, 1.0, g)
     with pytest.raises(ValueError):
         discretize(1.0, -1.0, g)
     with pytest.warns(UserWarning, match="too coarse"):
-        discretize(1.0, 5.0, RadialGrid(1e-6, 40.0, 120))
+        discretize(1.0, 5.0, RadialGrid(40.0, 120))
 
 
 def test_half_integer_case_odd_oscillator_levels():
     # beta = 1/2, gamma = 1 on the half line = odd 1D oscillator: nu^2 = 3, 7
-    g = RadialGrid(1e-6, 12.0, 4000)
+    g = RadialGrid(12.0, 4000)
     w = lowest_eigenvalues(discretize(0.5, 1.0, g), 2)
     assert w[0] == pytest.approx(3.0, abs=1e-3)
     assert w[1] == pytest.approx(7.0, abs=1e-3)
 
 
 def test_beta_one_levels():
-    g = RadialGrid(1e-6, 12.0, 4000)
+    g = RadialGrid(12.0, 4000)
     w = lowest_eigenvalues(discretize(1.0, 1.0, g), 2)
     assert w[0] == pytest.approx(4.0, abs=1e-3)
     assert w[1] == pytest.approx(8.0, abs=1e-3)
 
 
 def test_eigenvalues_strictly_increasing_and_deterministic():
-    g = RadialGrid(1e-6, 10.0, 1500)
+    g = RadialGrid(10.0, 1500)
     op = discretize(1.3, 0.8, g)
     w1 = lowest_eigenvalues(op, 6)
     w2 = lowest_eigenvalues(op, 6)
@@ -89,7 +113,7 @@ def test_eigenvalues_strictly_increasing_and_deterministic():
 
 
 def test_lowest_eigenvalues_count_bounds():
-    g = RadialGrid(1e-6, 6.0, 200)
+    g = RadialGrid(6.0, 200)
     op = discretize(1.0, 1.0, g)
     with pytest.raises(ValueError):
         lowest_eigenvalues(op, 0)
@@ -181,14 +205,6 @@ def test_verify_level_special_case_branches():
         assert verify_level(fsys, st, lev) <= 1e-5
 
 
-def test_reduced_confidence_warning_small_beta():
-    sys = PhysicalSystem(v0=0.02, rho0=1.0)
-    st = make_state(0, 0)  # beta = sqrt(v0 lam1) < 1/2
-    lev = compute_level(sys, st)
-    with pytest.warns(UserWarning, match="reduced confidence"):
-        oracle_check(sys, st, lev, grid=default_grid(0.3, 1.0, 1, n_points=2000))
-
-
 def test_oracle_check_reports_ratio_near_four():
     sys = PhysicalSystem(v0=1.0, rho0=1.0)
     st = make_state(0, 1)
@@ -197,3 +213,28 @@ def test_oracle_check_reports_ratio_near_four():
     assert check.deviation <= 1e-6
     assert 3.5 < check.convergence_ratio < 4.5
     assert check.nu2_analytic == pytest.approx((lev.energy + 1.0) ** 2, rel=1e-12)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(beta=_log_uniform(0.005, 20.0), gamma=_log_uniform(0.01, 100.0), n=st.integers(0, 10))
+def test_default_grid_checks_every_beta(beta, gamma, n):
+    # The free-field row is (nu^2, beta, gamma) = ((2n + 1 + m') omega_c, |m'|,
+    # omega_c / 2), so m' = beta and omega_c = 2 gamma give any exact level.
+    sys = PhysicalSystem(v0=0.0, rho0=1.0, b_field=2.0 * gamma, flux_xi=beta)
+    state = make_state(n, 0, beta)
+    check = oracle_check(sys, state, compute_level(sys, state, branch=FREE_FIELD))
+    assert check.deviation <= 1e-8
+    if beta >= 0.05:
+        assert 3.6 <= check.convergence_ratio <= 4.4
+
+
+def test_high_level_deviation():
+    for beta in (0.005, 1.0, 20.0):
+        sys = PhysicalSystem(v0=0.0, rho0=1.0, b_field=2.0, flux_xi=beta)
+        state = make_state(40, 0, beta)
+        check = oracle_check(sys, state, compute_level(sys, state, branch=FREE_FIELD))
+        assert check.deviation <= 1e-7

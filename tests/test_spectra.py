@@ -421,4 +421,21 @@ def test_sweep_flags_failed_points():
     flagged = [r for r in rows if r.status != "ok"]
     assert len(flagged) == 1
     assert flagged[0].value == 0.0 and flagged[0].state.m == 0
+    assert flagged[0].status == "degenerate"
     assert all(r.level is not None for r in rows if r.status == "ok")
+
+
+def test_field_free_limits_without_well_are_degenerate():
+    st = make_state(0, 1)
+    for limit in ("nonrel-pho", "kg-pho", "kg-ho", "nonrel-ho"):
+        with pytest.raises(DegenerateProblemError):
+            compute_level(PhysicalSystem(v0=0.0), st, limit=limit)
+    rows = sweep_levels(PhysicalSystem(v0=1.0), "v0", (0.0, 1.0, 2), [st], limit="kg-ho")
+    assert [r.status for r in rows] == ["degenerate", "ok"]
+
+
+def test_sweep_propagates_invalid_requests():
+    # A field on a field-free reduction is a caller error, not a failed point.
+    with pytest.raises(ValueError, match="b_field = 0"):
+        sweep_levels(PhysicalSystem(v0=1.0), "b_field", (0.0, 1.0, 2), [make_state(0, 1)],
+                     limit="kg-ho")

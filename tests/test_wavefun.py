@@ -213,7 +213,7 @@ def test_case_constants_against_limits():
 
 def test_support_radius_captures_norm():
     w = radial_wavefunction(4, 2.0, 3.0)
-    r_sup = support_radius(w)
+    r_sup = support_radius(w.n, w.beta, w.gamma)
 
     def integrand(r):
         return eval_radial(w, r) ** 2 * r
