@@ -8,7 +8,7 @@ maximum), LF line endings, no timestamps.  NaN/Inf never appear in data
 columns; failed rows carry a status code instead.
 
 Exit codes: 0 success, 2 configuration error, 3 at least one requested
-level has no root, 4 verification failure.
+level has no root (``sweep``: every row has none), 4 verification failure.
 """
 
 from __future__ import annotations

@@ -71,19 +71,17 @@ class PhysicalSystem:
     rho0     effective radius r0 of the well, in Compton wavelengths (> 0)
     b_field  dimensionless cyclotron energy omega_c = eB/(Mc) (>= 0)
     flux_xi  solenoid flux in flux quanta, xi = Phi_AB / Phi_0
-    mass     rest energy in Mc^2 units; fixed to 1 by the unit choice
-    charge_e particle charge; fixed to +1 by convention (documentation only)
+
+    The mass and the charge are 1 by the choice of units.
     """
 
     v0: float = 1.0
     rho0: float = 1.0
     b_field: float = 0.0
     flux_xi: float = 0.0
-    mass: float = 1.0
-    charge_e: float = 1.0
 
     def __post_init__(self):
-        for name in ("v0", "rho0", "b_field", "flux_xi", "mass", "charge_e"):
+        for name in ("v0", "rho0", "b_field", "flux_xi"):
             val = getattr(self, name)
             if not math.isfinite(val):
                 raise ValueError(f"{name} must be finite, got {val!r}")
@@ -93,8 +91,6 @@ class PhysicalSystem:
             raise ValueError(f"v0 must be >= 0, got {self.v0}")
         if self.b_field < 0.0:
             raise ValueError(f"b_field must be >= 0, got {self.b_field}")
-        if self.mass != 1.0 or self.charge_e != 1.0:
-            raise ValueError("natural units fix mass = charge_e = 1")
 
     @property
     def omega_c(self):
@@ -222,9 +218,9 @@ def radial_problem(sys, state, branch):
     """The radial problem of ``branch`` as a function E -> (nu^2, beta^2, gamma^2).
 
     This is the only place that maps a branch to its triple.  The branch is
-    checked here, once; the returned function does plain arithmetic and no
-    checks, so it takes a float or a NumPy array of energies and is cheap
-    enough to call at every solver step.
+    checked here, once; the returned function of a float energy does plain
+    arithmetic and no checks, so it is cheap enough to call at every solver
+    step.
     """
     try:
         row = _TABLE[branch]

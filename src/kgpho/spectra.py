@@ -2,14 +2,16 @@
 
 The relativistic branches solve the transcendental bound-state condition
 
-    f(E) = nu^2(E) - 2 (2n + 1 + beta(E)) gamma(E) = 0
+    f(E) = nu^2(E) - 2 (2n + 1 + beta(E)) gamma(E) = 0.
 
-by a uniform sign-change scan over the admissible energy window followed by
-bisection refined down to floating-point resolution.  The limiting cases
+nu^2 is quadratic in E with leading coefficient 1; beta^2 and gamma^2 are
+affine with slopes >= 0, so gamma and beta gamma are concave.  So f is
+strictly convex on its domain and has at most two roots; on the positive
+branch f < 0 just above E = -1, so it has exactly one.  The solver brackets
+them from that shape and bisects to floating-point resolution.  The limits
 (free-field Landau levels, the non-relativistic well with fields, the pure
-pseudoharmonic and harmonic reductions) are evaluated from their closed
-forms, and the harmonic cubic is additionally cross-checked against its
-Cardano solution.
+pseudoharmonic and harmonic reductions) are closed forms; the harmonic
+cubic is also cross-checked against its Cardano solution.
 
 Energies of the relativistic branches include the rest energy (E in Mc^2
 units); the non-relativistic branches store E - Mc^2.
@@ -68,8 +70,7 @@ __all__ = [
     "sweep_levels",
 ]
 
-_SCAN_EDGE = 1e-9  # relative offset keeping the scan strictly inside the window
-_SCAN_POINTS = 10000
+_INV_PHI = 0.5 * (math.sqrt(5.0) - 1.0)
 
 
 @dataclass
@@ -153,82 +154,85 @@ def _bisect(f, lo, hi, f_lo, f_hi):
     return lo if abs(f_lo) <= abs(f_hi) else hi
 
 
-def _residual(triple, n, sqrt=math.sqrt, clamp=max):
-    """f(E) = nu^2 - 2 (2n + 1 + beta) gamma on one table row; arrays take np.sqrt, np.maximum."""
+def _residual(triple, n):
+    """f(E) = nu^2 - 2 (2n + 1 + beta) gamma on one table row, beta^2 and gamma^2 clamped at 0."""
     c = 2.0 * n + 1.0
 
     def f(e):
         nu2, beta2, gamma2 = triple(e)
-        return nu2 - 2.0 * (c + sqrt(clamp(beta2, 0.0))) * sqrt(clamp(gamma2, 0.0))
+        return nu2 - 2.0 * (c + math.sqrt(max(beta2, 0.0))) * math.sqrt(max(gamma2, 0.0))
 
     return f
 
 
-def _scan_window(sys, state, branch, gamma_nr):
-    """Admissible energy window (lo, hi) for the sign-change scan.
+def _split(f, a, f_a, b, f_b):
+    """Brackets (lo, hi, f(lo), f(hi)) of the roots of the convex f on [a, b].
 
-    ``gamma_nr`` is gamma of the non-relativistic problem; it sets the
-    spacing of the levels, and with it the top of the window.
+    Golden-section descent to the first e with f(e) < 0 (none: no roots).  An end
+    it moves in has f >= 0 and lies beyond the minimum, so it still bounds a root.
     """
-    v0, r0, om, mp, n = sys.v0, sys.rho0, sys.omega_c, state.m_eff, state.n
-    if v0 == 0.0 and om == 0.0:
-        raise DegenerateProblemError("no confining scale: v0 = 0 and b_field = 0")
-    if v0 == 0.0 and mp == 0.0:
-        raise DegenerateProblemError("beta vanishes identically: v0 = 0 and m' = 0")
-
-    cap = 1.0 + 4.0 * (2.0 * n + 2.0 + abs(mp)) * max(gamma_nr, om)
-
-    if branch == POSITIVE:
-        lo = -1.0 + _SCAN_EDGE
-    elif v0 > 0.0:
-        # beta~^2 > 0 and gamma~^2 > 0 bound lambda_2 from below.
-        lo_beta = 1.0 - mp * mp / (r0 * r0 * v0)
-        lo_gamma = 1.0 - (0.5 * om * r0) ** 2 / v0
-        lo = max(lo_beta, lo_gamma)
-        lo += _SCAN_EDGE * max(1.0, abs(lo))
-    else:
-        # Free parameters: beta~ = |m'| and gamma~ = omega_c/2 at every E.
-        lo = -cap
-    if not lo < cap:
-        raise DegenerateProblemError(
-            f"admissible energy window is empty: lo={lo}, cap={cap}"
-        )
-    return lo, cap
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    f_c, f_d = f(c), f(d)
+    while a < c < d < b:
+        if f_c < 0.0 or f_d < 0.0:
+            e, f_e = (c, f_c) if f_c < 0.0 else (d, f_d)
+            return [(a, e, f_a, f_e), (e, b, f_e, f_b)]
+        if f_c < f_d:
+            b, f_b, d, f_d = d, f_d, c, f_c
+            c = b - _INV_PHI * (b - a)
+            f_c = f(c)
+        else:
+            a, f_a, c, f_c = c, f_c, d, f_d
+            d = a + _INV_PHI * (b - a)
+            f_d = f(d)
+    return []
 
 
 def solve_kg_energy(sys, state, branch=POSITIVE):
     """All roots of the transcendental bound-state condition, ascending.
 
-    Scans 10,000 uniform energies over the admissible window, then bisects
-    every sign change to floating-point resolution.  The root closest to
-    Mc^2 plus the non-relativistic energy is flagged principal.  Returns an
-    empty list when no sign change exists in the window.
+    f is strictly convex (module docstring): at most two roots, exactly one on
+    the positive branch.  The domain starts at E = -1 (positive branch) or where
+    beta^2 or gamma^2 vanishes (negative, v0 > 0: at most E = 1); at v0 = 0 the
+    negative-branch f is even, so [-hi, hi] holds both roots.  hi doubles from 2
+    until f(hi) > 0 and f(hi) > f(hi / 2) with hi / 2 in the domain, so f rises
+    above hi.  If f < 0 at the edge, one root lies in [edge, hi]; else ``_split``
+    brackets one on each side.  The root nearest Mc^2 + E_nonrel is principal.
     """
     if branch not in (POSITIVE, NEGATIVE):
         raise ValueError(f"branch must be {POSITIVE!r} or {NEGATIVE!r}, got {branch!r}")
-    # The non-relativistic row has nu^2(E) = 2 E + nu^2(0) and constant
-    # (beta, gamma), so its level is (2n + 1 + beta) gamma - nu^2(0) / 2.
-    nr_nu2, nr_beta2, nr_gamma2 = radial_problem(sys, state, NONREL_FIELDS)(0.0)
-    gamma_nr = math.sqrt(nr_gamma2)
-    lo, hi = _scan_window(sys, state, branch, gamma_nr)
+    v0, r0, om, mp = sys.v0, sys.rho0, sys.omega_c, state.m_eff
+    if v0 == 0.0 and om == 0.0:
+        raise DegenerateProblemError("no confining scale: v0 = 0 and b_field = 0")
+    if v0 == 0.0 and mp == 0.0:
+        raise DegenerateProblemError("beta vanishes identically: v0 = 0 and m' = 0")
     triple = radial_problem(sys, state, branch)
     f = _residual(triple, state.n)
 
-    grid = np.linspace(lo, hi, _SCAN_POINTS)
-    vals = _residual(triple, state.n, np.sqrt, np.maximum)(grid)
+    hi, f_half, f_hi = 2.0, f(1.0), f(2.0)
+    while not (f_hi > 0.0 and f_hi > f_half):
+        if not math.isfinite(f_hi):
+            raise DegenerateProblemError(f"residual overflows at E={hi} before it rises")
+        hi, f_half, f_hi = 2.0 * hi, f_hi, f(2.0 * hi)
+    if branch == POSITIVE:
+        # -inf: _bisect uses only the sign; f < 0 just above -1, even where f(-1) = 0.
+        lo, f_lo = -1.0, -math.inf
+    elif v0 > 0.0:
+        lo = max(1.0 - mp * mp / (r0 * r0 * v0), 1.0 - (0.5 * om * r0) ** 2 / v0)
+        f_lo = f(lo)
+    else:
+        lo, f_lo = -hi, f(-hi)
+    brackets = [(lo, hi, f_lo, f_hi)] if f_lo < 0.0 else _split(f, lo, f_lo, hi, f_hi)
+    roots = [_bisect(f, *bracket) for bracket in brackets]
+    # A root on the edge (beta^2 or gamma^2 is 0 in floating point) is no level.
+    roots = [e for e in roots if min(triple(e)[1:]) > 0.0]
 
-    roots = []
-    sign = np.sign(vals)
-    for i in np.flatnonzero(sign[:-1] * sign[1:] < 0.0):
-        roots.append(_bisect(f, float(grid[i]), float(grid[i + 1]), vals[i], vals[i + 1]))
-    roots.extend(float(e) for e in grid[sign == 0.0])
-    roots.sort()
-
-    levels = [
-        EnergyLevel(energy=e, branch=branch, state=state, residual=f(e)) for e in roots
-    ]
+    levels = [EnergyLevel(energy=e, branch=branch, state=state, residual=f(e)) for e in roots]
     if levels:
-        target = 1.0 + (2.0 * state.n + 1.0 + math.sqrt(nr_beta2)) * gamma_nr - 0.5 * nr_nu2
+        # The non-relativistic row has nu^2(E) = 2 E + nu^2(0) and constant
+        # (beta, gamma), so its level is (2n + 1 + beta) gamma - nu^2(0) / 2.
+        nu2, beta2, gamma2 = radial_problem(sys, state, NONREL_FIELDS)(0.0)
+        target = 1.0 + (2.0 * state.n + 1.0 + math.sqrt(beta2)) * math.sqrt(gamma2) - 0.5 * nu2
         principal = min(levels, key=lambda lev: abs(lev.energy - target))
         principal.principal = True
     return levels

@@ -264,10 +264,12 @@ def test_sweep_config_errors(capsys):
 
 def test_sweep_failed_rows_use_spectrum_statuses(tmp_path):
     out = tmp_path / "sweep_v0.csv"
-    main(
+    code = main(
         ["sweep", "--limit", "kg-ho", "--vary", "v0", "--start", "0", "--stop", "1",
          "--steps", "2", "--n", "0", "--m", "1", "--out", str(out)]
     )
+    # A sweep exits 3 only when no row is ok.
+    assert code == 0
     assert [r["status"] for r in read_csv(out)] == ["degenerate", "ok"]
 
 

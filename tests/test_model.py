@@ -43,7 +43,8 @@ def test_physical_system_validation():
         PhysicalSystem(b_field=-1.0)
     with pytest.raises(ValueError):
         PhysicalSystem(v0=math.inf)
-    with pytest.raises(ValueError):
+    # Natural units fix the mass and the charge; neither is a field.
+    with pytest.raises(TypeError):
         PhysicalSystem(mass=2.0)
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgpho.model import (
     NEGATIVE,
@@ -10,6 +12,7 @@ from kgpho.model import (
     PhysicalSystem,
     SpectralParams,
     make_state,
+    radial_problem,
     spectral_params,
 )
 from kgpho.oracle import verify_level
@@ -114,6 +117,78 @@ def test_solve_kg_energy_degenerate_inputs():
         solve_kg_energy(PhysicalSystem(v0=0.0, b_field=0.0), make_state(0, 1))
     with pytest.raises(DegenerateProblemError):
         solve_kg_energy(PhysicalSystem(v0=0.0, b_field=1.0), make_state(0, 0))
+    # f overflows before it rises: an error, not an empty root list.
+    with pytest.raises(DegenerateProblemError, match="overflows"):
+        solve_kg_energy(PhysicalSystem(v0=1e308, b_field=1.0), make_state(0, 1))
+
+
+@pytest.mark.parametrize("v0", [1e-6, 1e-8, 1e-10])
+def test_negative_branch_small_well_finds_both_roots(v0):
+    # The domain starts where gamma^2 vanishes, near E = -1 / (4 v0), far below
+    # the roots near the v0 -> 0 limit E^2 = 1 + omega_c (2n + 1 + m' + |m'|) = 8.
+    sys = PhysicalSystem(v0=v0, rho0=1.0, b_field=1.0)
+    state = make_state(0, 3)
+    energies = [lev.energy for lev in solve_kg_energy(sys, state, NEGATIVE)]
+    root8 = 2.0 * math.sqrt(2.0)
+    assert energies == pytest.approx([-root8, root8], abs=1e-5)
+    assert compute_level(sys, state, NEGATIVE).energy == pytest.approx(root8, abs=1e-5)
+
+
+def _dense_residual(sys, state, branch):
+    """f(E) on the branch's table row, and the lower edge of its domain."""
+    triple = radial_problem(sys, state, branch)
+    c = 2.0 * state.n + 1.0
+
+    def f(e):
+        nu2, beta2, gamma2 = triple(e)
+        return nu2 - 2.0 * (c + math.sqrt(max(beta2, 0.0))) * math.sqrt(max(gamma2, 0.0))
+
+    if branch == POSITIVE:
+        return f, -1.0
+    # beta^2 and gamma^2 are affine in E; the domain starts where one vanishes.
+    (_, b0, g0), (_, b1, g1) = triple(0.0), triple(1.0)
+    return f, max(-b0 / (b1 - b0), -g0 / (g1 - g0))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    log_v0=st.floats(-10.0, 2.0),
+    log_rho0=st.floats(math.log10(0.03), math.log10(30.0)),
+    omega_c=st.floats(0.0, 100.0),
+    n=st.integers(0, 200),
+    m=st.integers(-10, 10),
+    xi=st.floats(0.0, 0.99),
+    branch=st.sampled_from([POSITIVE, NEGATIVE]),
+)
+def test_solver_roots_match_dense_scan(log_v0, log_rho0, omega_c, n, m, xi, branch):
+    sys = PhysicalSystem(v0=10.0 ** log_v0, rho0=10.0 ** log_rho0, b_field=omega_c,
+                         flux_xi=xi)
+    state = make_state(n, m, xi)
+    roots = [lev.energy for lev in solve_kg_energy(sys, state, branch)]
+    assert len(roots) <= 2
+    if branch == POSITIVE:
+        assert len(roots) == 1
+
+    f, edge = _dense_residual(sys, state, branch)
+
+    def tol(e):
+        return 1e-9 * max(1.0, abs(e))
+
+    for r in roots:
+        # A root may lie closer than tol to the edge (gamma tiny): probe the edge.
+        assert f(max(r - tol(r), edge)) * f(r + tol(r)) <= 0.0
+
+    # Dense scan on points evenly spaced in asinh(E): fine near E = 0 and
+    # still reaching an edge near -1e10 and a top of 1e7, above every root.
+    top = 1e7
+    assert f(top) > 0.0
+    # The edge itself is left out: there beta^2 or gamma^2 is 0 only up to
+    # rounding, and (omega_c / 2)^2 may underflow, so f has no reliable sign.
+    grid = [math.sinh(t) for t in np.linspace(math.asinh(edge), math.asinh(top), 4000)[1:]]
+    vals = [f(e) for e in grid]
+    for a, b, fa, fb in zip(grid, grid[1:], vals, vals[1:]):
+        if fa * fb < 0.0 or fb == 0.0:
+            assert any(a - tol(r) <= r <= b + tol(r) for r in roots), (a, b)
 
 
 def test_monotone_in_n():
