@@ -91,6 +91,23 @@ class PhysicalSystem:
             raise ValueError(f"v0 must be >= 0, got {self.v0}")
         if self.b_field < 0.0:
             raise ValueError(f"b_field must be >= 0, got {self.b_field}")
+        # The branch table folds these constants once per system.  Each must
+        # be a finite float: an overflow there raises (``** 2``) or poisons
+        # every level, and rho0^2 = 0 divides by zero.  A product that
+        # overflows names its factor farther from 1.
+        r0r0, half_om = self.rho0 * self.rho0, 0.5 * self.b_field
+        if r0r0 == 0.0 or not math.isfinite(r0r0):
+            raise ValueError(f"rho0 out of range: rho0^2 = {r0r0!r} at rho0 = {self.rho0!r}")
+        for name, constant, value in (
+            ("b_field", "(omega_c/2)^2", half_om * half_om),
+            ("v0" if self.v0 >= r0r0 else "rho0", "rho0^2 v0", r0r0 * self.v0),
+            ("v0" if self.v0 * r0r0 >= 1.0 else "rho0", "v0 / rho0^2", self.v0 / r0r0),
+        ):
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"{name} out of range: {constant} overflows at v0 = {self.v0!r}, "
+                    f"rho0 = {self.rho0!r}, b_field = {self.b_field!r}"
+                )
 
     @property
     def omega_c(self):

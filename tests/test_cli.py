@@ -1,10 +1,15 @@
 import csv
+import io
 import json
 import math
 
+import numpy as np
 import pytest
 
+from kgpho import cli, wavefun
 from kgpho.cli import main
+from kgpho.model import PhysicalSystem, make_state, spectral_params
+from kgpho.spectra import compute_level
 
 GOLDEN_KG_LEVEL = 2.3675431291311684
 
@@ -183,6 +188,98 @@ def test_wavefunction_integrated_norm(tmp_path):
     assert payload["meta"]["integrated_norm"] == pytest.approx(1.0, abs=1e-6)
     assert payload["samples"][0]["r"] == 0.0
     assert payload["samples"][0]["g"] == 0.0
+
+
+def _per_cell_wavefunction_text(argv):
+    """The reference writer: csv.writer with ``_fmt`` on each cell, and
+    ``json.dumps(indent=2)`` of a list of row dicts, for the profile that
+    ``kgpho wavefunction`` samples."""
+    cfg = cli._build_parser().parse_args(argv, namespace=cli._RunConfig())
+    if cfg.beta is not None:
+        w = wavefun.radial_wavefunction(int(cfg.n), cfg.beta, cfg.gamma)
+    else:
+        system = PhysicalSystem(v0=cfg.v0, rho0=cfg.r0, b_field=cfg.b, flux_xi=cfg.xi)
+        state = make_state(int(cfg.n), int(cfg.m), cfg.xi)
+        level = compute_level(system, state)
+        p = spectral_params(system, level.energy, state, level.branch)
+        w = wavefun.radial_wavefunction(state.n, p.beta, p.gamma)
+    r_max = cfg.r_max if cfg.r_max is not None else wavefun.support_radius(w.n, w.beta, w.gamma)
+    r = np.linspace(0.0, r_max, cfg.samples)
+    g = wavefun.eval_radial(w, r)
+    weight = g * g * r
+    norm = float(cli._simpson(weight.tolist(), r[1] - r[0]))
+    columns = ["r", "g", "psi2_2pi_r"]
+    rows = [dict(zip(columns, map(float, cells))) for cells in zip(r, g, weight)]
+    if cfg.format == "csv":
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([cli._fmt(row[c]) for c in columns])
+        out.write(f"# norm_constant={cli._fmt(w.norm)} integrated_norm={cli._fmt(norm)}\n")
+        return out.getvalue()
+    payload = {
+        "config": cfg.echo,
+        "samples": rows,
+        "meta": {"norm_constant": w.norm, "integrated_norm": norm},
+    }
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--v0", "1", "--n", "1", "--m", "1", "--samples", "2"],
+        ["--v0", "1", "--n", "1", "--m", "1", "--samples", "3"],
+        ["--v0", "1", "--n", "1", "--m", "1", "--samples", "4"],
+        ["--v0", "1", "--n", "2", "--m", "1", "--r-max", "0.5"],
+        ["--beta", "0.3", "--gamma", "2.5", "--n", "3"],
+        ["--v0", "1", "--n", "60", "--m", "2", "--samples", "20000"],
+    ],
+)
+def test_wavefunction_output_matches_per_cell_writer(tmp_path, args, fmt):
+    out = tmp_path / f"wf.{fmt}"
+    argv = ["wavefunction", *args, "--format", fmt, "--out", str(out)]
+    assert main(argv) == 0
+    expected = _per_cell_wavefunction_text(argv)
+    assert out.read_bytes() == expected.encode("utf-8")
+    if "60" in args:
+        # The case that exercises signs and exponents in the float text.
+        assert "-0." in expected and "e-05" in expected
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        # r^beta overflows and N underflows inside eval_radial.
+        ["--beta", "400", "--gamma", "1e-3", "--n", "0", "--m", "1"],
+        ["--v0", "1e4", "--r0", "10", "--n", "0", "--m", "1"],
+        # N overflows.
+        ["--beta", "1000", "--gamma", "1e6", "--n", "0", "--m", "1"],
+    ],
+)
+def test_wavefunction_non_finite_profile_exits_no_root(tmp_path, capsys, args, fmt):
+    out = tmp_path / f"wf.{fmt}"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["wavefunction", *args, "--format", fmt, "--out", str(out)])
+    assert code == 3
+    assert "error: non-finite profile" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_system_constants_outside_float_range_are_config_errors(capsys):
+    assert main(["spectrum", "--b", "1e300", "--n", "0", "--m", "1"]) == 2
+    assert "(--b)" in capsys.readouterr().err
+    assert main(["spectrum", "--r0", "1e-300", "--n", "0", "--m", "1"]) == 2
+    assert "(--r0)" in capsys.readouterr().err
+    assert main(["wavefunction", "--v0", "1e307", "--r0", "100"]) == 2
+    assert "(--v0)" in capsys.readouterr().err
+    assert main(["sweep", "--vary", "b", "--start", "1e300", "--stop", "1"]) == 2
+    assert "(--start)" in capsys.readouterr().err
+    assert main(["sweep", "--vary", "v0", "--r0", "100", "--start", "1", "--stop", "1e307"]) == 2
+    assert "(--stop)" in capsys.readouterr().err
 
 
 def test_wavefunction_config_errors(tmp_path):

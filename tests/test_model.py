@@ -48,6 +48,31 @@ def test_physical_system_validation():
         PhysicalSystem(mass=2.0)
 
 
+@pytest.mark.parametrize(
+    "fields, name",
+    [
+        ({"b_field": 1e300}, "b_field"),  # (omega_c/2)^2 overflows
+        ({"rho0": 1e-300}, "rho0"),  # rho0^2 underflows to 0
+        ({"rho0": 1e200}, "rho0"),  # rho0^2 overflows
+        ({"v0": 1e307, "rho0": 100.0}, "v0"),  # rho0^2 v0 overflows
+        ({"v0": 1e300, "rho0": 1e-10}, "v0"),  # v0 / rho0^2 overflows
+        ({"v0": 1.0, "rho0": 1e-160}, "rho0"),  # v0 / rho0^2 overflows
+    ],
+)
+def test_physical_system_rejects_constants_outside_float_range(fields, name):
+    with pytest.raises(ValueError) as info:
+        PhysicalSystem(**fields)
+    assert str(info.value).split()[0] == name
+
+
+def test_physical_system_accepts_extreme_values_within_float_range():
+    # Every folded constant is finite here, and rho0^2 is nonzero.
+    PhysicalSystem(b_field=1e150)
+    PhysicalSystem(v0=1e-300, rho0=1e-160)
+    PhysicalSystem(v0=0.0, rho0=1e-160, b_field=1.0)
+    PhysicalSystem(v0=1e300, rho0=1.0)
+
+
 def test_quantum_state_validation():
     with pytest.raises(ValueError):
         QuantumState(n=-1, m=0, m_eff=0.0)
