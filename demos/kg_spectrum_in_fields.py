@@ -10,15 +10,8 @@ Run:
     python demos/kg_spectrum_in_fields.py
 """
 
-from kgpho import (
-    NEGATIVE,
-    POSITIVE,
-    PhysicalSystem,
-    compute_level,
-    make_state,
-    solve_kg_energy,
-    sweep_levels,
-)
+from kgpho.model import NEGATIVE, POSITIVE, PhysicalSystem, make_state
+from kgpho.spectra import compute_level, solve_kg_energy, sweep_levels
 
 
 def level_table():

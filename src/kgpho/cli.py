@@ -22,9 +22,7 @@ import math
 import sys as _sys
 from dataclasses import replace
 
-import numpy as np
-
-from . import oracle, spectra, wavefun
+from . import spectra
 from .model import (
     FREE_FIELD,
     NEGATIVE,
@@ -91,9 +89,7 @@ def _fmt(value):
 
 
 def _json_safe(value):
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float):
         value = float(value)
         if not math.isfinite(value):
             raise ValueError("non-finite value in output")
@@ -202,6 +198,8 @@ _VERIFY_COLUMNS = _SPECTRUM_COLUMNS[:-1] + ["convergence_ratio", "status"]
 
 
 def _solve_rows(cfg, system, states, branch, limit, with_oracle):
+    if with_oracle:
+        from . import oracle
     rows = []
     missing = 0
     for state in states:
@@ -265,6 +263,10 @@ _JSON_SAMPLE = '    {\n      "r": %r,\n      "g": %r,\n      "psi2_2pi_r": %r\n 
 
 
 def run_wavefunction(cfg):
+    import numpy as np
+
+    from . import wavefun
+
     if (cfg.beta is None) != (cfg.gamma is None):
         raise ConfigError("--beta/--gamma", "give both or neither")
     system, limit, branch, states = _problem(cfg)
@@ -297,8 +299,10 @@ def run_wavefunction(cfg):
         return EXIT_NO_ROOT
     r_max = cfg.r_max if cfg.r_max is not None else wavefun.support_radius(w.n, w.beta, w.gamma)
     r = np.linspace(0.0, r_max, cfg.samples)
-    g = wavefun.eval_radial(w, r)
-    weight = g * g * r
+    # A profile outside the float range is reported below, by name.
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = wavefun.eval_radial(w, r)
+        weight = g * g * r
     rs, gs, ws = r.tolist(), g.tolist(), weight.tolist()
     norm = _simpson(ws, rs[1] - rs[0])
     if not (np.isfinite(g).all() and np.isfinite(weight).all() and math.isfinite(norm)):
@@ -343,9 +347,12 @@ def run_sweep(cfg):
             replace(system, **{vary: value})
         except ValueError as exc:
             raise ConfigError(flag, str(exc)) from None
-    sweep = spectra.sweep_levels(
-        system, vary, (cfg.start, cfg.stop, cfg.steps), states, branch=branch, limit=limit
-    )
+    try:
+        sweep = spectra.sweep_levels(
+            system, vary, (cfg.start, cfg.stop, cfg.steps), states, branch=branch, limit=limit
+        )
+    except ValueError as exc:
+        raise ConfigError("--start/--stop", str(exc)) from None
     rows = []
     ok = 0
     for sr in sweep:

@@ -24,10 +24,9 @@ branch (scalar coupling equal to -vector).
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "POSITIVE",
@@ -124,9 +123,9 @@ class QuantumState:
     m_eff: float
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 0:
+        if not isinstance(self.n, numbers.Integral) or self.n < 0:
             raise ValueError(f"n must be an integer >= 0, got {self.n!r}")
-        if not isinstance(self.m, (int, np.integer)):
+        if not isinstance(self.m, numbers.Integral):
             raise ValueError(f"m must be an integer, got {self.m!r}")
         if not math.isfinite(self.m_eff):
             raise ValueError("m_eff must be finite")

@@ -9,6 +9,7 @@ polynomial is the dominant solution of the recurrence for x >= 0.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -16,7 +17,7 @@ __all__ = ["laguerre"]
 
 
 def _check_order(n, alpha):
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool):
         raise ValueError(f"polynomial degree must be an integer, got {n!r}")
     if n < 0:
         raise ValueError(f"polynomial degree must be >= 0, got {n}")

@@ -20,11 +20,10 @@ units); the non-relativistic branches store E - Mc^2.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
-
-import numpy as np
 
 from .model import (
     BRANCHES,
@@ -118,7 +117,7 @@ class HoParams:
 
 def quantization_residual(p, n):
     """nu^2 - 2 (2n + 1 + beta) gamma; zero iff (E, n) is quantized."""
-    if not isinstance(n, (int, np.integer)) or n < 0:
+    if not isinstance(n, numbers.Integral) or n < 0:
         raise ValueError(f"n must be an integer >= 0, got {n!r}")
     if p.beta2 <= 0.0 or p.gamma2 <= 0.0:
         raise ValueError(
@@ -240,7 +239,7 @@ def solve_kg_energy(sys, state, branch=POSITIVE):
 
 def landau_energy(n, m_eff, omega_c):
     """Free-field level (n + (m' + |m'|)/2 + 1/2) omega_c, in Mc^2 units."""
-    if not isinstance(n, (int, np.integer)) or n < 0:
+    if not isinstance(n, numbers.Integral) or n < 0:
         raise ValueError(f"n must be an integer >= 0, got {n!r}")
     if not math.isfinite(m_eff) or not math.isfinite(omega_c):
         raise ValueError("m_eff and omega_c must be finite")
@@ -444,6 +443,18 @@ class SweepRow:
 _SWEEPABLE = ("b_field", "flux_xi", "v0")
 
 
+def _grid(lo, hi, steps):
+    """``steps`` values from lo to hi, both included: ``np.linspace`` bit for bit."""
+    div = steps - 1
+    width = hi - lo
+    step = width / div
+    if step == 0.0:  # a subnormal width: divide i first, as numpy does
+        values = [i / div * width + lo for i in range(div)]
+    else:
+        values = [i * step + lo for i in range(div)]
+    return values + [hi]
+
+
 def sweep_levels(sys_template, vary, value_range, states, branch=POSITIVE, limit=None):
     """Solve each state across a parameter grid; report adjacent-m splittings.
 
@@ -456,8 +467,11 @@ def sweep_levels(sys_template, vary, value_range, states, branch=POSITIVE, limit
     if vary not in _SWEEPABLE:
         raise ValueError(f"vary must be one of {_SWEEPABLE}, got {vary!r}")
     lo, hi, steps = value_range
+    lo, hi = float(lo), float(hi)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("sweep range must be finite")
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"sweep range {lo!r}..{hi!r} is wider than the float range")
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
     if not states:
@@ -465,8 +479,7 @@ def sweep_levels(sys_template, vary, value_range, states, branch=POSITIVE, limit
 
     states = sorted(states, key=lambda s: (s.n, s.m))
     rows = []
-    for value in np.linspace(lo, hi, steps):
-        value = float(value)
+    for value in _grid(lo, hi, steps):
         sys_point = replace(sys_template, **{vary: value})
         prev_key = None
         prev_energy = None

@@ -15,6 +15,7 @@ under the plane measure is exactly one,
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -46,7 +47,7 @@ class RadialWaveFunction:
 
 def normalization_constant(n, beta, gamma):
     """N = sqrt(2 gamma^(beta+1) n! / Gamma(n+beta+1)), unit radial norm."""
-    if not isinstance(n, (int, np.integer)) or n < 0:
+    if not isinstance(n, numbers.Integral) or n < 0:
         raise ValueError(f"n must be an integer >= 0, got {n!r}")
     if not (math.isfinite(beta) and beta > 0.0):
         raise ValueError(f"beta must be a finite real > 0, got {beta!r}")

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -262,10 +263,13 @@ def test_wavefunction_output_matches_per_cell_writer(tmp_path, args, fmt):
 )
 def test_wavefunction_non_finite_profile_exits_no_root(tmp_path, capsys, args, fmt):
     out = tmp_path / f"wf.{fmt}"
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # NumPy's overflow warnings must not escape
         code = main(["wavefunction", *args, "--format", fmt, "--out", str(out)])
     assert code == 3
-    assert "error: non-finite profile" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite profile") and err.count("\n") == 1
+    assert err.endswith("\n")
     assert not out.exists()
 
 
@@ -357,6 +361,10 @@ def test_sweep_config_errors(capsys):
     assert "(--start)" in capsys.readouterr().err
     assert main(["sweep", "--vary", "b", "--start", "0", "--stop", "-1"]) == 2
     assert "(--stop)" in capsys.readouterr().err
+    # Each end is finite, but the width stop - start overflows.
+    assert main(["sweep", "--vary", "xi", "--start=-1e308", "--stop=1e308", "--steps", "3",
+                 "--n", "0", "--m", "1"]) == 2
+    assert "(--start/--stop)" in capsys.readouterr().err
 
 
 def test_sweep_failed_rows_use_spectrum_statuses(tmp_path):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kgpho.model import (
@@ -31,6 +31,7 @@ from kgpho.spectra import (
     quantization_residual,
     solve_kg_energy,
     sweep_levels,
+    _grid,
 )
 
 # Pre-computed by standalone bisection on the defining equations.
@@ -514,3 +515,31 @@ def test_sweep_propagates_invalid_requests():
     with pytest.raises(ValueError, match="b_field = 0"):
         sweep_levels(PhysicalSystem(v0=1.0), "b_field", (0.0, 1.0, 2), [make_state(0, 1)],
                      limit="kg-ho")
+    # Finite ends whose difference overflows: the grid would start at 0 * inf.
+    with pytest.raises(ValueError, match="wider than the float range"):
+        sweep_levels(PhysicalSystem(v0=1.0), "flux_xi", (-1e308, 1e308, 3), [make_state(0, 1)])
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(lo=_FINITE, hi=_FINITE, steps=st.integers(2, 200))
+@example(lo=1.5, hi=1.5, steps=3)
+@example(lo=2.0, hi=-1.0, steps=7)
+@example(lo=-0.0, hi=0.0, steps=3)
+@example(lo=0.0, hi=-0.0, steps=3)
+@example(lo=-0.0, hi=-0.0, steps=4)
+@example(lo=0.0, hi=5e-324, steps=5)  # width / (steps - 1) underflows to 0
+@example(lo=-5e-324, hi=5e-324, steps=200)
+@example(lo=1e-310, hi=3e-310, steps=9)
+def test_sweep_grid_is_linspace_bit_for_bit(lo, hi, steps):
+    assume(math.isfinite(hi - lo))
+    with np.errstate(over="ignore"):  # numpy also computes the last value, then overwrites it
+        expected = np.linspace(lo, hi, steps).tolist()
+    assert [v.hex() for v in _grid(lo, hi, steps)] == [v.hex() for v in expected]
+
+
+def test_sweep_values_are_the_grid():
+    rows = sweep_levels(PhysicalSystem(v0=1.0), "b_field", (0.0, 5e-324, 5), [make_state(0, 1)])
+    assert [r.value for r in rows] == [0.0, 0.0, 0.0, 5e-324, 5e-324]
