@@ -397,10 +397,12 @@ def _add_output_flags(p):
 def _add_oracle_flags(p):
     p.add_argument("--tol", type=float, default=1e-5,
                    help="oracle deviation tolerance (default 1e-5); the oracle's own "
-                        "floor is about 2e-10 up to n = 10 and 2e-8 at n = 40")
+                        "floor is about 2e-10 up to n = 10, 2e-9 at n = 20, 3e-8 at "
+                        "n = 40 and 4e-6 at n = 300")
     p.add_argument("--grid-n", dest="grid_n", default=None,
                    type=_checked(int, lambda v: v >= 100, "need >= 100"),
-                   help="override the oracle grid size")
+                   help="oracle grid size (default 2000 + 20 n for level n; "
+                        "the check also runs on twice as many points)")
     p.add_argument("--r-max", dest="r_max", type=_POSITIVE_FINITE, default=None,
                    help="override the oracle / sampling box radius")
 
@@ -421,7 +423,6 @@ def _build_parser():
         _add_state_flags(p)
         _add_output_flags(p)
         _add_oracle_flags(p)
-        p.set_defaults(func=run_spectrum)
         if name == "spectrum":
             p.add_argument("--verify", action="store_true",
                            help="also fill the oracle deviation column")
@@ -436,7 +437,6 @@ def _build_parser():
                    help="explicit gaussian width parameter")
     p.add_argument("--samples", type=_AT_LEAST_2, default=2001)
     p.add_argument("--r-max", dest="r_max", type=_POSITIVE_FINITE, default=None)
-    p.set_defaults(func=run_wavefunction)
 
     p = sub.add_parser("sweep", help="solve levels across a parameter grid")
     _add_system_flags(p)
@@ -446,19 +446,25 @@ def _build_parser():
     p.add_argument("--start", type=_FINITE, required=True)
     p.add_argument("--stop", type=_FINITE, required=True)
     p.add_argument("--steps", type=_AT_LEAST_2, default=5)
-    p.set_defaults(func=run_sweep)
 
     return parser
 
 
+# Built once per process; each call parses into a fresh _RunConfig and looks
+# its command's function up by name when it runs, so a caller that replaces
+# run_spectrum and the others (a tracer, a test) still reaches them.
+_PARSER = _build_parser()
+
+
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv, namespace=_RunConfig())
+        args = _PARSER.parse_args(argv, namespace=_RunConfig())
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code else EXIT_OK
+    run = {"spectrum": run_spectrum, "verify": run_spectrum,
+           "wavefunction": run_wavefunction, "sweep": run_sweep}[args.command]
     try:
-        return args.func(args)
+        return run(args)
     except ConfigError as exc:
         print(f"config error ({exc.flag}): {exc}", file=_sys.stderr)
         return EXIT_CONFIG

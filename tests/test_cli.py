@@ -318,6 +318,35 @@ def test_verify_tight_tolerance_fails(tmp_path):
     assert len(rows) == 1  # report still lists the level
 
 
+@pytest.mark.parametrize("r_max", ["1e300", "1e-300"])
+def test_verify_box_outside_float_range_is_oracle_error(tmp_path, capsys, r_max):
+    out = tmp_path / "verify_box.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["verify", "--n", "0", "--m", "1", "--r-max", r_max, "--out", str(out)])
+    assert code == 3
+    assert [r["status"] for r in read_csv(out)] == ["oracle_error"]
+    assert all(w.category is UserWarning for w in caught)
+    assert capsys.readouterr().err == ""
+
+
+def test_consecutive_main_calls_share_no_state(tmp_path, monkeypatch):
+    # The parser is built once per process; main must not rebuild it, and no
+    # flag of one call may reach the next.
+    monkeypatch.setattr(cli, "_build_parser", None)
+    out = tmp_path / "spec.csv"
+    assert main(["spectrum", "--verify", "--n", "0", "--m", "1", "--out", str(out)]) == 0
+    assert read_csv(out)[0]["oracle_dev"] != ""
+    assert main(["spectrum", "--n", "0", "--m", "1", "--out", str(out)]) == 0
+    assert read_csv(out)[0]["oracle_dev"] == ""
+    sweep = ["sweep", "--vary", "b", "--start", "0", "--stop", "1", "--n", "0", "--m", "1",
+             "--out", str(out)]
+    assert main(sweep + ["--steps", "3"]) == 0
+    assert len(read_csv(out)) == 3
+    assert main(sweep) == 0
+    assert len(read_csv(out)) == 5
+
+
 def test_verify_empty_state_set():
     assert main(["verify", "--n", "1..0", "--m", "1"]) == 2
 

@@ -1,8 +1,10 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
@@ -88,6 +90,18 @@ def test_discretize_domain_and_coarseness_warning():
         discretize(1.0, 5.0, RadialGrid(40.0, 120))
 
 
+@pytest.mark.parametrize("r_max", [1e300, 1e155, 1e-300])
+def test_discretize_box_outside_float_range(r_max):
+    # h^2 gamma^2 r_max^2 overflows a float power at 1e300 and 1e155, and the
+    # matrix entries overflow at all three; the error names the box, and
+    # NumPy warns of nothing on the way.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.simplefilter("ignore", UserWarning)  # the coarse-grid warning
+        with pytest.raises(ValueError, match=re.escape(f"r_max={r_max!r}")):
+            discretize(1.0, 0.5, RadialGrid(r_max, 2000))
+
+
 def test_half_integer_case_odd_oscillator_levels():
     # beta = 1/2, gamma = 1 on the half line = odd 1D oscillator: nu^2 = 3, 7
     g = RadialGrid(12.0, 4000)
@@ -119,6 +133,9 @@ def test_lowest_eigenvalues_count_bounds():
         lowest_eigenvalues(op, 0)
     with pytest.raises(ValueError):
         lowest_eigenvalues(op, 201)
+    # first selects a window of the same eigenvalues
+    assert np.allclose(lowest_eigenvalues(op, 3, first=1), lowest_eigenvalues(op, 3)[1:],
+                       rtol=1e-15, atol=0.0)
 
 
 def test_second_order_convergence_ratio_smooth_case():
@@ -238,3 +255,52 @@ def test_high_level_deviation():
         state = make_state(40, 0, beta)
         check = oracle_check(sys, state, compute_level(sys, state, branch=FREE_FIELD))
         assert check.deviation <= 1e-7
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(beta=_log_uniform(0.05, 20.0), gamma=_log_uniform(0.01, 100.0), n=st.integers(0, 15))
+def test_oracle_check_computes_only_eigenvalue_n(beta, gamma, n):
+    # Selecting index n alone gives the n-th of the n + 1 lowest eigenvalues,
+    # to the last bits, and those are the values the check extrapolates.
+    sys = PhysicalSystem(v0=0.0, rho0=1.0, b_field=2.0 * gamma, flux_xi=beta)
+    state = make_state(n, 0, beta)
+    check = oracle_check(sys, state, compute_level(sys, state, branch=FREE_FIELD))
+    grid = default_grid(beta, gamma, n + 1)
+    for g, used in ((grid, check.nu2_coarse), (refine(grid), check.nu2_fine)):
+        op = discretize(beta, gamma, g)
+        alone = lowest_eigenvalues(op, n + 1, first=n)
+        assert alone.shape == (1,)
+        full = lowest_eigenvalues(op, n + 1)[n]
+        assert abs(alone[0] - full) <= 1e-15 * abs(full)
+        assert used == alone[0]
+        for first in (-1, n + 1):
+            with pytest.raises(ValueError):
+                lowest_eigenvalues(op, n + 1, first=first)
+
+
+def test_default_grid_grows_with_the_level():
+    assert default_grid(1.0, 1.0, 1).n_points == 2000
+    assert default_grid(1.0, 1.0, 201).n_points == 6000
+    assert default_grid(1.0, 1.0, 201, n_points=500).n_points == 500
+
+
+def test_level_200_keeps_the_floor():
+    # A flat 2,000-point grid leaves this level unresolved: it warns and its
+    # deviation is 9.0e-6; the grid that grows with n gives 2.2e-6.
+    sys = PhysicalSystem(v0=0.0, rho0=1.0, b_field=1.0)  # beta = 1, gamma = 0.5
+    state = make_state(200, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        check = oracle_check(sys, state, compute_level(sys, state, branch=FREE_FIELD))
+    assert check.deviation <= 5e-6
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(beta=_log_uniform(0.05, 20.0), gamma=_log_uniform(0.01, 100.0), n=st.integers(0, 300))
+@example(beta=20.0, gamma=100.0, n=300)
+@example(beta=20.0, gamma=0.01, n=300)
+def test_default_grid_resolves_levels_up_to_300(beta, gamma, n):
+    # h^2 gamma^2 r_max^2 = ((4n + 2 + 2 beta + 40) / n_points)^2 whatever gamma.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        discretize(beta, gamma, default_grid(beta, gamma, n + 1))
