@@ -5,7 +5,9 @@ Compton wavelengths, the field as the dimensionless cyclotron energy); see
 the README for SI conversion formulas.  Output is deterministic: fixed
 column order, shortest round-trip float formatting (17 significant digits
 maximum), LF line endings, no timestamps.  NaN/Inf never appear in data
-columns; failed rows carry a status code instead.
+columns; failed rows carry a status code instead.  ``--branch`` names one
+row of the branch table; inputs that the row rejects (a field on a
+field-free row) are a configuration error under ``--branch``.
 
 Exit codes: 0 success, 2 configuration error, 3 at least one requested
 level has no root (``sweep``: every row has none; ``wavefunction``: also a
@@ -22,11 +24,8 @@ import math
 import sys as _sys
 from dataclasses import replace
 
-from . import spectra
+from . import model, spectra
 from .model import (
-    FREE_FIELD,
-    NEGATIVE,
-    POSITIVE,
     DegenerateProblemError,
     PhysicalSystem,
     make_state,
@@ -38,14 +37,16 @@ EXIT_CONFIG = 2
 EXIT_NO_ROOT = 3
 EXIT_VERIFY = 4
 
-_BRANCH_FLAGS = {"positive": POSITIVE, "negative": NEGATIVE, "free": FREE_FIELD}
-_LIMIT_FLAGS = ("none", "nonrel", "kg-pho", "kg-ho", "nonrel-ho")
+# The --branch name of each row of the branch table.
+_BRANCH_FLAGS = {
+    "positive": model.POSITIVE, "negative": model.NEGATIVE, "free": model.FREE_FIELD,
+    "nonrel": model.NONREL_FIELDS, "nonrel-pho": model.NONREL_PHO,
+    "kg-pho": model.KG_PHO, "kg-ho": model.KG_HO, "nonrel-ho": model.NONREL_HO,
+}
 
 
 class ConfigError(Exception):
-    def __init__(self, flag, message):
-        super().__init__(f"{flag}: {message}")
-        self.flag = flag
+    """A flag whose value the command rejects: ConfigError(flag, message)."""
 
 
 def _parse_range(text, flag):
@@ -129,24 +130,10 @@ def _build_system(args):
             v0=args.v0, rho0=args.r0, b_field=args.b, flux_xi=args.xi
         )
     except ValueError as exc:
-        flag = {"v0": "--v0", "rho0": "--r0", "b_field": "--b"}.get(
+        flag = {"v0": "--v0", "rho0": "--r0", "b_field": "--b", "flux_xi": "--xi"}.get(
             str(exc).split()[0], "--v0/--r0/--b/--xi"
         )
         raise ConfigError(flag, str(exc)) from None
-
-
-def _validate_limit(args):
-    limit = None if args.limit == "none" else args.limit
-    field_free = limit in ("kg-pho", "kg-ho", "nonrel-ho")
-    if field_free and (args.b != 0.0 or args.xi != 0.0):
-        raise ConfigError("--limit", f"{limit} requires --b 0 and --xi 0")
-    if field_free and getattr(args, "vary", None) in ("b", "xi"):
-        raise ConfigError("--vary", f"--limit {limit} has no field to vary")
-    if field_free and args.v0 <= 0.0:
-        raise ConfigError("--v0", f"--limit {limit} requires v0 > 0")
-    if limit == "nonrel" and args.v0 == 0.0 and args.b == 0.0:
-        raise ConfigError("--limit", "nonrel requires v0 > 0 or b > 0")
-    return limit
 
 
 class _RunConfig(argparse.Namespace):
@@ -155,7 +142,7 @@ class _RunConfig(argparse.Namespace):
     @property
     def echo(self):
         keys = (
-            "command", "v0", "r0", "b", "xi", "strict", "branch", "limit",
+            "command", "v0", "r0", "b", "xi", "strict", "branch",
             "n", "m", "format", "verify", "tol", "grid_n", "r_max",
             "beta", "gamma", "samples", "vary", "start", "stop", "steps",
         )
@@ -172,8 +159,8 @@ def _state_grid(cfg):
 
 
 def _problem(cfg):
-    """The system, limit, branch and states that a command's flags ask for."""
-    return _build_system(cfg), _validate_limit(cfg), _BRANCH_FLAGS[cfg.branch], _state_grid(cfg)
+    """The system, branch and states that a command's flags ask for."""
+    return _build_system(cfg), _BRANCH_FLAGS[cfg.branch], _state_grid(cfg)
 
 
 def _level_row(state, level=None, status="ok"):
@@ -197,18 +184,20 @@ _SPECTRUM_COLUMNS = [
 _VERIFY_COLUMNS = _SPECTRUM_COLUMNS[:-1] + ["convergence_ratio", "status"]
 
 
-def _solve_rows(cfg, system, states, branch, limit, with_oracle):
+def _solve_rows(cfg, system, states, branch, with_oracle):
     if with_oracle:
         from . import oracle
     rows = []
     missing = 0
     for state in states:
         try:
-            level = spectra.compute_level(system, state, branch=branch, limit=limit)
+            level = spectra.compute_level(system, state, branch=branch)
         except (DegenerateProblemError, LookupError) as exc:
             rows.append(_level_row(state, status=spectra.failure_status(exc)))
             missing += 1
             continue
+        except ValueError as exc:  # the row rejects these inputs
+            raise ConfigError("--branch", str(exc)) from None
         status = "ok"
         ratio = None
         if with_oracle:
@@ -232,9 +221,9 @@ def _solve_rows(cfg, system, states, branch, limit, with_oracle):
 def run_spectrum(cfg):
     """The spectrum and verify commands: verify always runs the oracle, adds
     the convergence-ratio column and fails on deviations above --tol."""
-    system, limit, branch, states = _problem(cfg)
+    system, branch, states = _problem(cfg)
     verify = cfg.command == "verify"
-    rows, missing = _solve_rows(cfg, system, states, branch, limit, verify or cfg.verify)
+    rows, missing = _solve_rows(cfg, system, states, branch, verify or cfg.verify)
     _write_table(cfg, _VERIFY_COLUMNS if verify else _SPECTRUM_COLUMNS, rows)
     if verify and any(r["oracle_dev"] is not None and r["oracle_dev"] > cfg.tol for r in rows):
         return EXIT_VERIFY
@@ -269,23 +258,23 @@ def run_wavefunction(cfg):
 
     if (cfg.beta is None) != (cfg.gamma is None):
         raise ConfigError("--beta/--gamma", "give both or neither")
-    system, limit, branch, states = _problem(cfg)
+    system, branch, states = _problem(cfg)
     if len(states) != 1:
         raise ConfigError("--n/--m", "wavefunction takes a single (n, m)")
     state = states[0]
     if cfg.beta is not None:
-        if cfg.beta <= 0 or cfg.gamma <= 0:
-            raise ConfigError("--beta/--gamma", "must be > 0")
         beta, gamma = cfg.beta, cfg.gamma
     else:
         try:
-            level = spectra.compute_level(system, state, branch=branch, limit=limit)
+            level = spectra.compute_level(system, state, branch=branch)
             p = spectral_params(system, level.energy, state, level.branch)
             if not p.bound_state:
                 raise DegenerateProblemError(f"no bound-state problem at E={level.energy}")
         except (DegenerateProblemError, LookupError) as exc:
             print(f"error: no solvable level: {exc}", file=_sys.stderr)
             return EXIT_NO_ROOT
+        except ValueError as exc:  # the row rejects these inputs
+            raise ConfigError("--branch", str(exc)) from None
         beta, gamma = p.beta, p.gamma
 
     non_finite = (
@@ -340,7 +329,7 @@ _SWEEP_COLUMNS = [
 
 
 def run_sweep(cfg):
-    system, limit, branch, states = _problem(cfg)
+    system, branch, states = _problem(cfg)
     vary = {"b": "b_field", "xi": "flux_xi", "v0": "v0"}[cfg.vary]
     for flag, value in (("--start", cfg.start), ("--stop", cfg.stop)):
         try:
@@ -349,10 +338,12 @@ def run_sweep(cfg):
             raise ConfigError(flag, str(exc)) from None
     try:
         sweep = spectra.sweep_levels(
-            system, vary, (cfg.start, cfg.stop, cfg.steps), states, branch=branch, limit=limit
+            system, vary, (cfg.start, cfg.stop, cfg.steps), states, branch=branch
         )
     except ValueError as exc:
-        raise ConfigError("--start/--stop", str(exc)) from None
+        # The flags' types admit every range but one too wide; else the row rejects a point.
+        flag = "--branch" if math.isfinite(cfg.stop - cfg.start) else "--start/--stop"
+        raise ConfigError(flag, str(exc)) from None
     rows = []
     ok = 0
     for sr in sweep:
@@ -384,9 +375,9 @@ def _add_system_flags(p):
 def _add_state_flags(p, n_default="0", m_default="1"):
     p.add_argument("--n", default=n_default, help="radial quantum number(s), INT or LO..HI")
     p.add_argument("--m", default=m_default, help="magnetic quantum number(s), INT or LO..HI")
-    p.add_argument("--branch", choices=sorted(_BRANCH_FLAGS), default="positive")
-    p.add_argument("--limit", choices=_LIMIT_FLAGS, default="none",
-                   help="evaluate a limiting-case formula instead of the full solve")
+    p.add_argument("--branch", choices=_BRANCH_FLAGS, default="positive",
+                   help="row of the branch table: a Klein-Gordon branch, the free "
+                        "field, or a limiting case (default positive)")
 
 
 def _add_output_flags(p):
@@ -395,7 +386,7 @@ def _add_output_flags(p):
 
 
 def _add_oracle_flags(p):
-    p.add_argument("--tol", type=float, default=1e-5,
+    p.add_argument("--tol", type=_POSITIVE_FINITE, default=1e-5,
                    help="oracle deviation tolerance (default 1e-5); the oracle's own "
                         "floor is about 2e-10 up to n = 10, 2e-9 at n = 20, 3e-8 at "
                         "n = 40 and 4e-6 at n = 300")
@@ -431,9 +422,9 @@ def _build_parser():
     _add_system_flags(p)
     _add_state_flags(p)
     _add_output_flags(p)
-    p.add_argument("--beta", type=float, default=None,
+    p.add_argument("--beta", type=_POSITIVE_FINITE, default=None,
                    help="explicit radial exponent (with --gamma, skips solving)")
-    p.add_argument("--gamma", type=float, default=None,
+    p.add_argument("--gamma", type=_POSITIVE_FINITE, default=None,
                    help="explicit gaussian width parameter")
     p.add_argument("--samples", type=_AT_LEAST_2, default=2001)
     p.add_argument("--r-max", dest="r_max", type=_POSITIVE_FINITE, default=None)
@@ -466,7 +457,7 @@ def main(argv=None):
     try:
         return run(args)
     except ConfigError as exc:
-        print(f"config error ({exc.flag}): {exc}", file=_sys.stderr)
+        print("config error (%s): %s" % exc.args, file=_sys.stderr)
         return EXIT_CONFIG
 
 

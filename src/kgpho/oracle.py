@@ -112,16 +112,21 @@ def discretize(beta, gamma, grid):
             stacklevel=2,
         )
     a = 2.0 * beta + 2.0
-    # A box far outside the scale of the problem overflows an entry; that is
-    # reported below, by name.
-    with np.errstate(over="ignore"):
+    try:
+        gamma2 = gamma ** 2
+    except OverflowError:  # float ** raises where * gives inf
+        gamma2 = math.inf
+    # A box far outside the scale of the problem, or a huge gamma, overflows
+    # an entry (inf, or nan as inf * 0 at the origin); that is reported
+    # below, by name.
+    with np.errstate(over="ignore", invalid="ignore"):
         log_face = np.log(h * (np.arange(grid.n_points) + 0.5))  # outer face of each cell
         log_inner = np.concatenate(([-np.inf], log_face[:-1]))
         # log of the cell weight (outer^a - inner^a) / a
         log_w = a * log_face + np.log(-np.expm1(a * (log_inner - log_face))) - math.log(a)
         # log of the face flux coefficient r^(2 beta + 1) / h
         log_p = (a - 1.0) * log_face - math.log(h)
-        diag = np.exp(log_p - log_w) + gamma ** 2 * grid.points ** 2
+        diag = np.exp(log_p - log_w) + gamma2 * grid.points ** 2
         diag[1:] += np.exp(log_p[:-1] - log_w[1:])
         offdiag = -np.exp(log_p[:-1] - 0.5 * (log_w[:-1] + log_w[1:]))
     if not (np.isfinite(diag).all() and np.isfinite(offdiag).all()):

@@ -198,6 +198,7 @@ def solve_kg_energy(sys, state, branch=POSITIVE):
     above hi.  If f < 0 at the edge, one root lies in [edge, hi]; else ``_split``
     brackets one on each side.  The root nearest Mc^2 + E_nonrel is principal.
     """
+    triple = radial_problem(sys, state, branch)  # rejects a label outside BRANCHES
     if branch not in (POSITIVE, NEGATIVE):
         raise ValueError(f"branch must be {POSITIVE!r} or {NEGATIVE!r}, got {branch!r}")
     v0, r0, om, mp = sys.v0, sys.rho0, sys.omega_c, state.m_eff
@@ -205,7 +206,6 @@ def solve_kg_energy(sys, state, branch=POSITIVE):
         raise DegenerateProblemError("no confining scale: v0 = 0 and b_field = 0")
     if v0 == 0.0 and mp == 0.0:
         raise DegenerateProblemError("beta vanishes identically: v0 = 0 and m' = 0")
-    triple = radial_problem(sys, state, branch)
     f = _residual(triple, state.n)
 
     hi, f_half, f_hi = 2.0, f(1.0), f(2.0)
@@ -397,31 +397,29 @@ def nonrel_ho_energy(sys, state):
 
 
 _LIMITS = {
-    "nonrel": lambda sys, state: nonrel_energy_with_fields(sys, state)[0],
-    "kg-pho": kg_pho_energy,
-    "kg-ho": kg_ho_energy,
-    "nonrel-ho": nonrel_ho_energy,
-    "nonrel-pho": nonrel_pho_energy,
+    NONREL_FIELDS: lambda sys, state: nonrel_energy_with_fields(sys, state)[0],
+    NONREL_PHO: nonrel_pho_energy,
+    KG_PHO: kg_pho_energy,
+    KG_HO: kg_ho_energy,
+    NONREL_HO: nonrel_ho_energy,
 }
 
 
-def compute_level(sys, state, branch=POSITIVE, limit=None):
-    """Dispatch one (system, state) to the requested solver.
+def compute_level(sys, state, branch=POSITIVE):
+    """The principal level of one (system, state) on the row ``branch`` of
+    ``BRANCHES``; ``radial_problem`` rejects any other label (ValueError).
 
-    ``limit`` overrides the relativistic solve with a limiting-case formula.
-    A negative-branch request at v0 = 0 is routed to the free-field Landau
+    Each limit checks its own domain: ValueError for a field the row has none
+    of, DegenerateProblemError for a row without a bound state.  A
+    negative-branch request at v0 = 0 is routed to the free-field Landau
     formula (those states reduce to the free problem).  Raises LookupError
     when the transcendental solver finds no root.
     """
-    if limit is not None:
-        if limit not in _LIMITS:
-            raise ValueError(f"unknown limit {limit!r}; expected one of {sorted(_LIMITS)}")
-        return _LIMITS[limit](sys, state)
+    if branch in _LIMITS:
+        return _LIMITS[branch](sys, state)
     if branch == FREE_FIELD or (branch == NEGATIVE and sys.v0 == 0.0):
         energy = landau_energy(state.n, state.m_eff, sys.omega_c)
         return _closed_form_level(sys, state, FREE_FIELD, energy)
-    if branch not in (POSITIVE, NEGATIVE):
-        raise ValueError(f"unknown branch {branch!r}")
     for lev in solve_kg_energy(sys, state, branch):
         if lev.principal:
             return lev
@@ -455,13 +453,14 @@ def _grid(lo, hi, steps):
     return values + [hi]
 
 
-def sweep_levels(sys_template, vary, value_range, states, branch=POSITIVE, limit=None):
+def sweep_levels(sys_template, vary, value_range, states, branch=POSITIVE):
     """Solve each state across a parameter grid; report adjacent-m splittings.
 
     ``value_range`` is (lo, hi, steps), steps >= 2, endpoints included.  Rows
     are ordered by (parameter value, n, m); a point without a bound state or
     without a root becomes a row whose ``status`` is ``failure_status`` of the
-    error, instead of aborting the sweep.  ``delta_e`` holds the
+    error, instead of aborting the sweep; a point that ``branch``'s row rejects
+    (ValueError, as ``compute_level``) aborts it.  ``delta_e`` holds the
     splitting from the previous m at the same (value, n), where defined.
     """
     if vary not in _SWEEPABLE:
@@ -486,7 +485,7 @@ def sweep_levels(sys_template, vary, value_range, states, branch=POSITIVE, limit
         for s in states:
             state = make_state(s.n, s.m, value) if vary == "flux_xi" else s
             try:
-                level = compute_level(sys_point, state, branch=branch, limit=limit)
+                level = compute_level(sys_point, state, branch=branch)
                 row = SweepRow(param=vary, value=value, state=state, level=level)
             except (DegenerateProblemError, LookupError) as exc:
                 row = SweepRow(

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from kgpho.model import (
     BRANCHES,
-    FREE_FIELD,
-    NEGATIVE,
-    POSITIVE,
+    KG_HO,
+    KG_PHO,
+    NONREL_HO,
+    NONREL_PHO,
     DegenerateProblemError,
     PhysicalSystem,
     make_state,
@@ -18,10 +19,7 @@ from kgpho.model import (
 )
 from kgpho.spectra import compute_level, quantization_residual
 
-REQUESTS = [(POSITIVE, None), (NEGATIVE, None), (FREE_FIELD, None)] + [
-    (POSITIVE, limit) for limit in ("nonrel", "nonrel-pho", "kg-pho", "kg-ho", "nonrel-ho")
-]
-FIELD_FREE_LIMITS = ("nonrel-pho", "kg-pho", "kg-ho", "nonrel-ho")
+FIELD_FREE_LIMITS = (NONREL_PHO, KG_PHO, KG_HO, NONREL_HO)
 
 systems = st.builds(
     PhysicalSystem,
@@ -34,16 +32,15 @@ systems = st.builds(
 
 @pytest.mark.filterwarnings("ignore:27 k n:UserWarning")
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(sys=systems, n=st.integers(0, 4), m=st.integers(-3, 3), request=st.sampled_from(REQUESTS))
-def test_every_level_satisfies_its_table_row(sys, n, m, request):
-    branch, limit = request
-    if limit in FIELD_FREE_LIMITS:
+@given(sys=systems, n=st.integers(0, 4), m=st.integers(-3, 3), branch=st.sampled_from(BRANCHES))
+def test_every_level_satisfies_its_table_row(sys, n, m, branch):
+    if branch in FIELD_FREE_LIMITS:
         # These reductions reject fields (and need a well) by design.
         assume(sys.v0 > 0.0 and sys.b_field == 0.0)
-        assume(limit == "nonrel-pho" or sys.flux_xi == 0.0)
+        assume(branch == NONREL_PHO or sys.flux_xi == 0.0)
     state = make_state(n, m, sys.flux_xi)
     try:
-        level = compute_level(sys, state, branch=branch, limit=limit)
+        level = compute_level(sys, state, branch=branch)
     except (DegenerateProblemError, LookupError):
         return
     p = spectral_params(sys, level.energy, state, level.branch)

@@ -59,7 +59,7 @@ def test_spectrum_landau_row(tmp_path):
 def test_spectrum_nonrel_limit(tmp_path):
     out = tmp_path / "nr.csv"
     code = main(
-        ["spectrum", "--limit", "nonrel", "--v0", "1", "--r0", "1", "--b", "2",
+        ["spectrum", "--branch", "nonrel", "--v0", "1", "--r0", "1", "--b", "2",
          "--n", "0", "--m", "1", "--out", str(out)]
     )
     assert code == 0
@@ -86,7 +86,7 @@ def test_spectrum_config_errors(tmp_path):
     assert main(["spectrum", "--n", "abc"]) == 2
     assert main(["spectrum", "--format", "xml"]) == 2
     assert main(["spectrum", "--r0", "-1"]) == 2
-    assert main(["spectrum", "--limit", "kg-pho", "--b", "1"]) == 2
+    assert main(["spectrum", "--branch", "kg-pho", "--b", "1"]) == 2
     assert main(["nonsense"]) == 2
 
 
@@ -99,7 +99,7 @@ def test_negative_n_is_config_error():
 
 def test_wavefunction_without_bound_state_exits_no_root(capsys):
     # m = 0 in a pure field: beta = |m'| = 0, so the level has no radial profile.
-    for extra in (["--branch", "free"], ["--limit", "nonrel"]):
+    for extra in (["--branch", "free"], ["--branch", "nonrel"]):
         assert main(["wavefunction", "--v0", "0", "--b", "1", "--m", "0"] + extra) == 3
         assert "no solvable level" in capsys.readouterr().err
 
@@ -112,11 +112,43 @@ def test_oracle_grid_flags_are_config_errors():
         assert main(command + ["--r-max", "inf"]) == 2
 
 
-def test_field_free_limits_reject_fields():
+def test_field_free_limits_reject_fields(capsys):
     # kg-ho used to print the b = 0 level and echo m_eff = 0.5 while using |m|.
-    assert main(["spectrum", "--limit", "kg-ho", "--v0", "1", "--b", "1", "--xi", "0.5"]) == 2
-    assert main(["spectrum", "--limit", "kg-ho", "--v0", "1", "--xi", "0.5"]) == 2
-    assert main(["spectrum", "--limit", "nonrel-ho", "--v0", "1", "--b", "1"]) == 2
+    assert main(["spectrum", "--branch", "kg-ho", "--v0", "1", "--b", "1", "--xi", "0.5"]) == 2
+    assert main(["spectrum", "--branch", "kg-ho", "--v0", "1", "--xi", "0.5"]) == 2
+    assert main(["spectrum", "--branch", "nonrel-ho", "--v0", "1", "--b", "1"]) == 2
+    assert main(["spectrum", "--branch", "kg-ho", "--b", "1"]) == 2
+    assert main(["verify", "--branch", "kg-pho", "--b", "1"]) == 2
+    assert main(["wavefunction", "--branch", "nonrel-pho", "--b", "1"]) == 2
+    assert capsys.readouterr().err.count("config error (--branch): ") == 6
+
+
+# One call per row of the branch table, with flags the row admits.
+@pytest.mark.parametrize(
+    "name, flags, label",
+    [
+        ("positive", ["--v0", "1"], "positive"),
+        ("negative", ["--v0", "1", "--b", "1"], "negative"),
+        ("free", ["--b", "1"], "free_field"),
+        ("nonrel", ["--v0", "1", "--b", "1"], "nonrel_fields"),
+        ("nonrel-pho", ["--v0", "1"], "nonrel_pho"),
+        ("kg-pho", ["--v0", "1"], "kg_pho"),
+        ("kg-ho", ["--v0", "1"], "kg_ho"),
+        ("nonrel-ho", ["--v0", "1"], "nonrel_ho"),
+    ],
+)
+def test_every_branch_name_selects_its_row(tmp_path, name, flags, label):
+    out = tmp_path / "row.csv"
+    argv = ["spectrum", "--branch", name, *flags, "--n", "0", "--m", "1", "--out", str(out)]
+    assert main(argv) == 0
+    assert [(r["branch"], r["status"]) for r in read_csv(out)] == [(label, "ok")]
+
+
+def test_rows_without_a_bound_state_are_degenerate_rows(tmp_path):
+    out = tmp_path / "degenerate.csv"
+    for flags in (["--branch", "kg-ho", "--v0", "0"], ["--branch", "nonrel", "--v0", "0", "--b", "0"]):
+        assert main(["spectrum", *flags, "--out", str(out)]) == 3
+        assert [r["status"] for r in read_csv(out)] == ["degenerate"]
 
 
 def test_spectrum_json_matches_csv(tmp_path):
@@ -289,6 +321,9 @@ def test_system_constants_outside_float_range_are_config_errors(capsys):
 def test_wavefunction_config_errors(tmp_path):
     assert main(["wavefunction", "--beta", "1", "--n", "0"]) == 2
     assert main(["wavefunction", "--beta", "1", "--gamma", "0", "--n", "0"]) == 2
+    for bad in ("nan", "inf", "0", "-1"):
+        assert main(["wavefunction", "--beta", bad, "--gamma", "1", "--n", "0"]) == 2
+        assert main(["wavefunction", "--beta", "1", "--gamma", bad, "--n", "0"]) == 2
     assert main(["wavefunction", "--samples", "1", "--beta", "1", "--gamma", "1", "--n", "0"]) == 2
     assert main(["wavefunction", "--n", "0..2"]) == 2
 
@@ -316,6 +351,19 @@ def test_verify_tight_tolerance_fails(tmp_path):
     assert code == 4
     rows = read_csv(out)
     assert len(rows) == 1  # report still lists the level
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_verify_tolerance_must_be_positive_and_finite(tol):
+    # nan passed every level (dev > nan is False), and -1 failed every one.
+    assert main(["verify", "--n", "0", "--m", "1", "--tol", tol]) == 2
+
+
+def test_config_error_names_its_flag_once(capsys):
+    assert main(["spectrum", "--n", "-1"]) == 2
+    assert capsys.readouterr().err == "config error (--n): n must be >= 0, got -1\n"
+    assert main(["spectrum", "--xi", "inf"]) == 2
+    assert capsys.readouterr().err == "config error (--xi): flux_xi must be finite, got inf\n"
 
 
 @pytest.mark.parametrize("r_max", ["1e300", "1e-300"])
@@ -381,11 +429,11 @@ def test_sweep_flux_equivalence(tmp_path):
 def test_sweep_config_errors(capsys):
     assert main(["sweep", "--vary", "b", "--start", "0", "--stop", "1", "--steps", "1"]) == 2
     assert main(["sweep", "--start", "0", "--stop", "1"]) == 2  # --vary required
-    for limit in ("kg-pho", "kg-ho", "nonrel-ho"):
+    for branch in ("kg-pho", "kg-ho", "nonrel-ho"):
         for vary in ("b", "xi"):
-            args = ["sweep", "--limit", limit, "--vary", vary, "--start", "0", "--stop", "1"]
+            args = ["sweep", "--branch", branch, "--vary", vary, "--start", "0", "--stop", "1"]
             assert main(args) == 2
-            assert "(--vary)" in capsys.readouterr().err
+            assert "(--branch)" in capsys.readouterr().err
     assert main(["sweep", "--vary", "v0", "--start", "-1", "--stop", "1"]) == 2
     assert "(--start)" in capsys.readouterr().err
     assert main(["sweep", "--vary", "b", "--start", "0", "--stop", "-1"]) == 2
@@ -399,12 +447,24 @@ def test_sweep_config_errors(capsys):
 def test_sweep_failed_rows_use_spectrum_statuses(tmp_path):
     out = tmp_path / "sweep_v0.csv"
     code = main(
-        ["sweep", "--limit", "kg-ho", "--vary", "v0", "--start", "0", "--stop", "1",
+        ["sweep", "--branch", "kg-ho", "--vary", "v0", "--start", "0", "--stop", "1",
          "--steps", "2", "--n", "0", "--m", "1", "--out", str(out)]
     )
     # A sweep exits 3 only when no row is ok.
     assert code == 0
     assert [r["status"] for r in read_csv(out)] == ["degenerate", "ok"]
+
+
+def test_sweep_replaces_the_base_value_it_varies(tmp_path):
+    # The base --v0 0 (with --b 0) has no bound state on either row, but every
+    # swept point does.
+    out = tmp_path / "sweep.csv"
+    for argv, count in (
+        (["--branch", "nonrel", "--vary", "b", "--start", "0.5", "--stop", "1", "--steps", "3"], 3),
+        (["--branch", "kg-pho", "--vary", "v0", "--start", "1", "--stop", "2", "--steps", "2"], 2),
+    ):
+        assert main(["sweep", "--v0", "0", *argv, "--n", "0", "--m", "1", "--out", str(out)]) == 0
+        assert [r["status"] for r in read_csv(out)] == ["ok"] * count
 
 
 def test_verify_free_field_small_beta(tmp_path):
@@ -422,7 +482,7 @@ def test_verify_free_field_small_beta(tmp_path):
 def test_verify_deviation_floor(tmp_path):
     out = tmp_path / "verify_kg_ho.csv"
     main(
-        ["verify", "--limit", "kg-ho", "--v0", "2.5", "--r0", "0.6",
+        ["verify", "--branch", "kg-ho", "--v0", "2.5", "--r0", "0.6",
          "--n", "0..2", "--m", "0..2", "--out", str(out)]
     )
     devs = [float(r["oracle_dev"]) for r in read_csv(out) if r["oracle_dev"] != ""]

@@ -90,16 +90,20 @@ def test_discretize_domain_and_coarseness_warning():
         discretize(1.0, 5.0, RadialGrid(40.0, 120))
 
 
-@pytest.mark.parametrize("r_max", [1e300, 1e155, 1e-300])
-def test_discretize_box_outside_float_range(r_max):
-    # h^2 gamma^2 r_max^2 overflows a float power at 1e300 and 1e155, and the
-    # matrix entries overflow at all three; the error names the box, and
-    # NumPy warns of nothing on the way.
+@pytest.mark.parametrize(
+    "r_max, gamma",
+    [(1e300, 0.5), (1e155, 0.5), (1e-300, 0.5), (1e-150, 1e160)],
+    ids=["1e+300", "1e+155", "1e-300", "1e-150-gamma-1e+160"],
+)
+def test_discretize_box_outside_float_range(r_max, gamma):
+    # h^2 gamma^2 r_max^2 overflows a float power at 1e300 and 1e155, gamma^2
+    # at gamma = 1e160, and the matrix entries overflow at all four; the error
+    # names the box, and NumPy warns of nothing on the way.
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         warnings.simplefilter("ignore", UserWarning)  # the coarse-grid warning
         with pytest.raises(ValueError, match=re.escape(f"r_max={r_max!r}")):
-            discretize(1.0, 0.5, RadialGrid(r_max, 2000))
+            discretize(1.0, gamma, RadialGrid(r_max, 2000))
 
 
 def test_half_integer_case_odd_oscillator_levels():
@@ -213,12 +217,12 @@ def test_verify_level_negative_branch():
 def test_verify_level_special_case_branches():
     st = make_state(1, 1)
     sys = PhysicalSystem(v0=1.0, rho0=1.0, b_field=1.5)
-    lev = compute_level(sys, st, limit="nonrel")
+    lev = compute_level(sys, st, branch="nonrel_fields")
     assert verify_level(sys, st, lev) <= 1e-6
 
     fsys = PhysicalSystem(v0=1.0, rho0=1.0)
-    for limit in ("kg-pho", "kg-ho", "nonrel-ho"):
-        lev = compute_level(fsys, st, limit=limit)
+    for branch in ("kg_pho", "kg_ho", "nonrel_ho"):
+        lev = compute_level(fsys, st, branch=branch)
         assert verify_level(fsys, st, lev) <= 1e-5
 
 

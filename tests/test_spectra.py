@@ -18,6 +18,10 @@ from kgpho.model import (
 from kgpho.oracle import verify_level
 from kgpho.spectra import (
     FREE_FIELD,
+    KG_HO,
+    KG_PHO,
+    NONREL_HO,
+    NONREL_PHO,
     compute_level,
     kg_ho_closed_form,
     kg_ho_energy,
@@ -261,13 +265,13 @@ def test_field_free_limits_reject_fields():
     for sys in (PhysicalSystem(v0=1.0, b_field=0.5), PhysicalSystem(v0=1.0, flux_xi=0.5)):
         with pytest.raises(ValueError):
             ho_params(sys, st)
-        for limit in ("kg-ho", "nonrel-ho"):
+        for branch in (KG_HO, NONREL_HO):
             with pytest.raises(ValueError):
-                compute_level(sys, st, limit=limit)
+                compute_level(sys, st, branch=branch)
     with pytest.raises(ValueError):
         nonrel_pho_energy(PhysicalSystem(v0=1.0, b_field=0.5), st)
     with pytest.raises(ValueError):
-        compute_level(PhysicalSystem(v0=1.0, b_field=0.5), st, limit="nonrel-pho")
+        compute_level(PhysicalSystem(v0=1.0, b_field=0.5), st, branch=NONREL_PHO)
 
 
 def test_nonrel_energy_with_fields_example():
@@ -451,6 +455,18 @@ def test_kg_ho_nonrelativistic_limit_scaling():
     assert ratios[1] == pytest.approx(ratios[0] * 0.1, rel=0.2)
 
 
+def test_compute_level_takes_only_table_rows():
+    # One selector: a label outside the table, such as a CLI spelling, is one
+    # ValueError that names the table.
+    sys, st = PhysicalSystem(v0=1.0), make_state(0, 1)
+    for branch in ("tachyon", "nonrel", "kg-ho"):
+        with pytest.raises(ValueError, match="branch must be one of") as info:
+            compute_level(sys, st, branch=branch)
+        assert not isinstance(info.value, DegenerateProblemError)
+        with pytest.raises(ValueError, match="branch must be one of"):
+            sweep_levels(sys, "v0", (1.0, 2.0, 2), [st], branch=branch)
+
+
 def test_compute_level_free_field_routing():
     # A negative-branch request at v0 = 0 is the free-field case.
     sys = PhysicalSystem(v0=0.0, rho0=1.0, b_field=1.0)
@@ -503,10 +519,10 @@ def test_sweep_flags_failed_points():
 
 def test_field_free_limits_without_well_are_degenerate():
     st = make_state(0, 1)
-    for limit in ("nonrel-pho", "kg-pho", "kg-ho", "nonrel-ho"):
+    for branch in (NONREL_PHO, KG_PHO, KG_HO, NONREL_HO):
         with pytest.raises(DegenerateProblemError):
-            compute_level(PhysicalSystem(v0=0.0), st, limit=limit)
-    rows = sweep_levels(PhysicalSystem(v0=1.0), "v0", (0.0, 1.0, 2), [st], limit="kg-ho")
+            compute_level(PhysicalSystem(v0=0.0), st, branch=branch)
+    rows = sweep_levels(PhysicalSystem(v0=1.0), "v0", (0.0, 1.0, 2), [st], branch=KG_HO)
     assert [r.status for r in rows] == ["degenerate", "ok"]
 
 
@@ -514,7 +530,7 @@ def test_sweep_propagates_invalid_requests():
     # A field on a field-free reduction is a caller error, not a failed point.
     with pytest.raises(ValueError, match="b_field = 0"):
         sweep_levels(PhysicalSystem(v0=1.0), "b_field", (0.0, 1.0, 2), [make_state(0, 1)],
-                     limit="kg-ho")
+                     branch=KG_HO)
     # Finite ends whose difference overflows: the grid would start at 0 * inf.
     with pytest.raises(ValueError, match="wider than the float range"):
         sweep_levels(PhysicalSystem(v0=1.0), "flux_xi", (-1e308, 1e308, 3), [make_state(0, 1)])

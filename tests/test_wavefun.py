@@ -205,7 +205,7 @@ def test_case_constants_against_limits():
 
     # non-relativistic well: (sqrt(m'^2 + 2 v0 r0^2), Omega/2)
     nsys = PhysicalSystem(v0=1.0, rho0=1.0, b_field=2.0)
-    nlev = compute_level(nsys, st, limit="nonrel")
+    nlev = compute_level(nsys, st, branch="nonrel_fields")
     b, c = case_constants(nsys, st, nlev)
     assert b == pytest.approx(math.sqrt(3.0), rel=1e-14)
     assert c == pytest.approx(math.sqrt(3.0), rel=1e-14)
