@@ -45,6 +45,7 @@ __all__ = [
     "effective_quantum_number",
     "make_state",
     "radial_problem",
+    "radial_slopes",
     "spectral_params",
 ]
 
@@ -191,7 +192,8 @@ def _klein_gordon(shift):
     """Row of a Klein-Gordon branch: lambda = E + shift, lambda' = E - shift.
 
     Constants are folded once per system, because solvers call the row at
-    every step.
+    every step.  ``row.slopes`` builds E -> (dnu^2/dE, dbeta^2/dE, dgamma^2/dE)
+    from the same constants, for the solver's Newton steps.
     """
 
     def row(v0, r0, om, mp):
@@ -204,6 +206,12 @@ def _klein_gordon(shift):
 
         return triple
 
+    def slopes(v0, r0, om, mp):
+        r0r0 = r0 * r0
+        r0r0_v0, v0_r0r0 = r0r0 * v0, v0 / r0r0
+        return lambda e: (2.0 * (e + v0), r0r0_v0, v0_r0r0)
+
+    row.slopes = slopes
     return row
 
 
@@ -243,6 +251,18 @@ def radial_problem(sys, state, branch):
     except KeyError:
         raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}") from None
     return row(sys.v0, sys.rho0, sys.omega_c, state.m_eff)
+
+
+def radial_slopes(sys, state, branch):
+    """E -> (dnu^2/dE, dbeta^2/dE, dgamma^2/dE) of a Klein-Gordon row.
+
+    Only the rows built by ``_klein_gordon`` carry slopes; any other label is
+    a ValueError.
+    """
+    slopes = getattr(_TABLE.get(branch), "slopes", None)
+    if slopes is None:
+        raise ValueError(f"branch {branch!r} has no slopes in the branch table")
+    return slopes(sys.v0, sys.rho0, sys.omega_c, state.m_eff)
 
 
 def spectral_params(sys, energy, state, branch=POSITIVE):

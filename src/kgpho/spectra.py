@@ -8,7 +8,8 @@ nu^2 is quadratic in E with leading coefficient 1; beta^2 and gamma^2 are
 affine with slopes >= 0, so gamma and beta gamma are concave.  So f is
 strictly convex on its domain and has at most two roots; on the positive
 branch f < 0 just above E = -1, so it has exactly one.  The solver brackets
-them from that shape and bisects to floating-point resolution.  The limits
+them from that shape and refines each by safeguarded Newton steps, with the
+slopes of the branch table's row, to floating-point resolution.  The limits
 (free-field Landau levels, the non-relativistic well with fields, the pure
 pseudoharmonic and harmonic reductions) are closed forms; the harmonic
 cubic is also cross-checked against its Cardano solution.
@@ -39,6 +40,7 @@ from .model import (
     QuantumState,
     make_state,
     radial_problem,
+    radial_slopes,
 )
 
 __all__ = [
@@ -133,24 +135,43 @@ def failure_status(exc):
     return "degenerate" if isinstance(exc, DegenerateProblemError) else "no_root"
 
 
-def _bisect(f, lo, hi, f_lo, f_hi):
-    """Refine a bracketed sign change down to floating-point resolution."""
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
+def _refine(fdf, lo, hi, f_lo, f_hi):
+    """Safeguarded Newton refinement of a bracketed root of a convex f.
+
+    ``fdf(e)`` returns (f(e), f'(e)); one of f_lo, f_hi is < 0 and the other
+    >= 0.  Newton steps start at the end where f >= 0, from which a convex f
+    leads them monotonically onto the root (the ``rtsafe`` scheme of
+    Numerical Recipes, section 9.4).  A step that rounds to zero (f = 0
+    included) moves one float inward; a step that leaves the bracket, or an
+    f' that is not finite or is zero, takes the midpoint instead.  Every
+    evaluated point replaces the end of its sign (f = 0 counts as >= 0),
+    until the ends are adjacent floats.  Returns the end with the smaller
+    |f|, on a tie the end where f >= 0.  The iteration count is capped as a
+    guard against a run of floats where f is exactly 0, which the inward
+    steps would otherwise cross one float at a time.
+    """
+    if f_lo < 0.0:
+        neg, f_neg, pos = lo, f_lo, hi
+    else:
+        neg, f_neg, pos = hi, f_hi, lo
+    f_pos, df_pos = fdf(pos)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):
+        inward = math.nextafter(pos, neg)
+        if inward == neg:
             break
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid < 0.0) == (f_lo < 0.0):
-            lo, f_lo = mid, f_mid
+        x = math.nan
+        if df_pos != 0.0 and math.isfinite(df_pos):
+            x = pos - f_pos / df_pos
+        if x == pos or f_pos == 0.0:  # a zero step, whatever f' is
+            x = inward
+        elif not (neg < x < pos or pos < x < neg):
+            x = 0.5 * (pos + neg)
+        f_x, df_x = fdf(x)
+        if f_x < 0.0:
+            neg, f_neg = x, f_x
         else:
-            hi, f_hi = mid, f_mid
-    return lo if abs(f_lo) <= abs(f_hi) else hi
+            pos, f_pos, df_pos = x, f_x, df_x
+    return pos if abs(f_pos) <= abs(f_neg) else neg
 
 
 def _residual(triple, n):
@@ -162,6 +183,26 @@ def _residual(triple, n):
         return nu2 - 2.0 * (c + math.sqrt(max(beta2, 0.0))) * math.sqrt(max(gamma2, 0.0))
 
     return f
+
+
+def _residual_and_slope(triple, slopes, n):
+    """E -> (f(E), f'(E)) from one call of the row's triple and its slopes.
+
+    f' = dnu^2/dE - (dbeta^2/dE gamma / beta + (2n + 1 + beta) dgamma^2/dE / gamma),
+    infinite where beta or gamma is 0 (a domain edge).
+    """
+    c = 2.0 * n + 1.0
+
+    def fdf(e):
+        nu2, beta2, gamma2 = triple(e)
+        beta, gamma = math.sqrt(max(beta2, 0.0)), math.sqrt(max(gamma2, 0.0))
+        f = nu2 - 2.0 * (c + beta) * gamma
+        if beta == 0.0 or gamma == 0.0:
+            return f, math.inf
+        d_nu2, d_beta2, d_gamma2 = slopes(e)
+        return f, d_nu2 - (d_beta2 * gamma / beta + (c + beta) * d_gamma2 / gamma)
+
+    return fdf
 
 
 def _split(f, a, f_a, b, f_b):
@@ -196,7 +237,9 @@ def solve_kg_energy(sys, state, branch=POSITIVE):
     negative-branch f is even, so [-hi, hi] holds both roots.  hi doubles from 2
     until f(hi) > 0 and f(hi) > f(hi / 2) with hi / 2 in the domain, so f rises
     above hi.  If f < 0 at the edge, one root lies in [edge, hi]; else ``_split``
-    brackets one on each side.  The root nearest Mc^2 + E_nonrel is principal.
+    brackets one on each side.  ``_refine`` runs Newton steps from each
+    bracket's f > 0 end down to adjacent floats, with f' from the row's
+    slopes (``radial_slopes``).  The root nearest Mc^2 + E_nonrel is principal.
     """
     triple = radial_problem(sys, state, branch)  # rejects a label outside BRANCHES
     if branch not in (POSITIVE, NEGATIVE):
@@ -214,7 +257,7 @@ def solve_kg_energy(sys, state, branch=POSITIVE):
             raise DegenerateProblemError(f"residual overflows at E={hi} before it rises")
         hi, f_half, f_hi = 2.0 * hi, f_hi, f(2.0 * hi)
     if branch == POSITIVE:
-        # -inf: _bisect uses only the sign; f < 0 just above -1, even where f(-1) = 0.
+        # -inf: _refine uses only the sign; f < 0 just above -1, even where f(-1) = 0.
         lo, f_lo = -1.0, -math.inf
     elif v0 > 0.0:
         lo = max(1.0 - mp * mp / (r0 * r0 * v0), 1.0 - (0.5 * om * r0) ** 2 / v0)
@@ -222,17 +265,20 @@ def solve_kg_energy(sys, state, branch=POSITIVE):
     else:
         lo, f_lo = -hi, f(-hi)
     brackets = [(lo, hi, f_lo, f_hi)] if f_lo < 0.0 else _split(f, lo, f_lo, hi, f_hi)
-    roots = [_bisect(f, *bracket) for bracket in brackets]
+    fdf = _residual_and_slope(triple, radial_slopes(sys, state, branch), state.n)
+    roots = [_refine(fdf, *bracket) for bracket in brackets]
     # A root on the edge (beta^2 or gamma^2 is 0 in floating point) is no level.
     roots = [e for e in roots if min(triple(e)[1:]) > 0.0]
 
     levels = [EnergyLevel(energy=e, branch=branch, state=state, residual=f(e)) for e in roots]
     if levels:
-        # The non-relativistic row has nu^2(E) = 2 E + nu^2(0) and constant
-        # (beta, gamma), so its level is (2n + 1 + beta) gamma - nu^2(0) / 2.
-        nu2, beta2, gamma2 = radial_problem(sys, state, NONREL_FIELDS)(0.0)
-        target = 1.0 + (2.0 * state.n + 1.0 + math.sqrt(beta2)) * math.sqrt(gamma2) - 0.5 * nu2
-        principal = min(levels, key=lambda lev: abs(lev.energy - target))
+        principal = levels[0]
+        if len(levels) > 1:
+            # The non-relativistic row has nu^2(E) = 2 E + nu^2(0) and constant
+            # (beta, gamma), so its level is (2n + 1 + beta) gamma - nu^2(0) / 2.
+            nu2, beta2, gamma2 = radial_problem(sys, state, NONREL_FIELDS)(0.0)
+            target = 1.0 + (2.0 * state.n + 1.0 + math.sqrt(beta2)) * math.sqrt(gamma2) - 0.5 * nu2
+            principal = min(levels, key=lambda lev: abs(lev.energy - target))
         principal.principal = True
     return levels
 
@@ -339,32 +385,34 @@ def kg_ho_closed_form(k, n_prime, paper_printed=False):
 def kg_ho_energy(sys, state):
     """Relativistic harmonic-oscillator level.
 
-    The defining condition n' sqrt(2k) = sqrt(lambda_1) lambda_2 is solved by
-    bisection; in the 27 k n'^2 >= 16 regime the Cardano closed form must
-    agree to 1e-12 and is asserted against the bisection root.  Below that
-    threshold a discriminant-regime warning is emitted and the bisection
+    The defining condition n' sqrt(2k) = sqrt(lambda_1) lambda_2, convex and
+    increasing in E on [1, inf), is solved by the Newton refinement of
+    ``solve_kg_energy``; in the 27 k n'^2 >= 16 regime the Cardano closed
+    form must agree to 1e-12 and is asserted against the solver root.  Below
+    that threshold a discriminant-regime warning is emitted and the solver
     root is returned.
     """
     hp = ho_params(sys, state)
     k, n_prime = hp.k, hp.n_prime
     rhs = n_prime * math.sqrt(2.0 * k)
 
-    def f(e):
-        return math.sqrt(e + 1.0) * (e - 1.0) - rhs
+    def fdf(e):
+        root = math.sqrt(e + 1.0)
+        return root * (e - 1.0) - rhs, root + (e - 1.0) / (2.0 * root)
 
     lo, hi = 1.0, 3.0 + rhs
-    energy = _bisect(f, lo, hi, f(lo), f(hi))
+    energy = _refine(fdf, lo, hi, fdf(lo)[0], fdf(hi)[0])
 
     if 27.0 * k * n_prime ** 2 >= 16.0:
         closed = kg_ho_closed_form(k, n_prime)
         if abs(closed - energy) > 1e-12 * max(1.0, abs(energy)):
             raise RuntimeError(
-                f"Cardano root {closed} disagrees with bisection root {energy}"
+                f"Cardano root {closed} disagrees with solver root {energy}"
             )
     else:
         warnings.warn(
             f"27 k n'^2 = {27.0 * k * n_prime ** 2:.6g} < 16: printed closed form "
-            "has a negative square-root argument; returning the bisection root",
+            "has a negative square-root argument; returning the solver root",
             UserWarning,
             stacklevel=2,
         )

@@ -7,14 +7,18 @@ from hypothesis import strategies as st
 
 from kgpho.model import (
     BRANCHES,
+    FREE_FIELD,
     KG_HO,
     KG_PHO,
+    NEGATIVE,
     NONREL_HO,
     NONREL_PHO,
+    POSITIVE,
     DegenerateProblemError,
     PhysicalSystem,
     make_state,
     radial_problem,
+    radial_slopes,
     spectral_params,
 )
 from kgpho.spectra import compute_level, quantization_residual
@@ -61,3 +65,20 @@ def test_table_covers_every_branch_and_rejects_others():
         assert len(radial_problem(sys, state, branch)(2.0)) == 3
     with pytest.raises(ValueError):
         radial_problem(sys, state, "tachyon")
+
+
+def test_klein_gordon_slopes_match_their_rows():
+    # nu^2 is quadratic and beta^2, gamma^2 are affine in E, so a central
+    # difference of the row is its slope up to rounding.
+    sys = PhysicalSystem(v0=0.7, rho0=1.3, b_field=0.4, flux_xi=0.2)
+    state = make_state(1, 2, sys.flux_xi)
+    h = 1e-3
+    for branch in (POSITIVE, NEGATIVE, KG_PHO):
+        triple, slopes = radial_problem(sys, state, branch), radial_slopes(sys, state, branch)
+        for e in (-0.5, 1.5, 4.0):
+            below, above = triple(e - h), triple(e + h)
+            expect = [(a - b) / (2.0 * h) for a, b in zip(above, below)]
+            assert slopes(e) == pytest.approx(expect, rel=1e-9)
+    for branch in (FREE_FIELD, KG_HO, "tachyon"):
+        with pytest.raises(ValueError):
+            radial_slopes(sys, state, branch)

@@ -15,6 +15,7 @@ from kgpho.model import (
     radial_problem,
     spectral_params,
 )
+from kgpho import spectra
 from kgpho.oracle import verify_level
 from kgpho.spectra import (
     FREE_FIELD,
@@ -127,7 +128,7 @@ def test_solve_kg_energy_degenerate_inputs():
         solve_kg_energy(PhysicalSystem(v0=1e308, b_field=1.0), make_state(0, 1))
 
 
-@pytest.mark.parametrize("v0", [1e-6, 1e-8, 1e-10])
+@pytest.mark.parametrize("v0", [1e-6, 1e-8, 1e-10, 1e-300])
 def test_negative_branch_small_well_finds_both_roots(v0):
     # The domain starts where gamma^2 vanishes, near E = -1 / (4 v0), far below
     # the roots near the v0 -> 0 limit E^2 = 1 + omega_c (2n + 1 + m' + |m'|) = 8.
@@ -194,6 +195,63 @@ def test_solver_roots_match_dense_scan(log_v0, log_rho0, omega_c, n, m, xi, bran
     for a, b, fa, fb in zip(grid, grid[1:], vals, vals[1:]):
         if fa * fb < 0.0 or fb == 0.0:
             assert any(a - tol(r) <= r <= b + tol(r) for r in roots), (a, b)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    log_v0=st.floats(-10.0, 2.0),
+    log_rho0=st.floats(math.log10(0.03), math.log10(30.0)),
+    omega_c=st.floats(0.0, 100.0),
+    n=st.integers(0, 200),
+    m=st.integers(-10, 10),
+    xi=st.floats(0.0, 0.99),
+    branch=st.sampled_from([POSITIVE, NEGATIVE]),
+)
+def test_solver_roots_are_resolved_to_one_float(log_v0, log_rho0, omega_c, n, m, xi, branch):
+    # Each root is an exact zero of f, or f changes sign between it and a
+    # neighbouring float: the refinement ends at adjacent floats.
+    sys = PhysicalSystem(v0=10.0 ** log_v0, rho0=10.0 ** log_rho0, b_field=omega_c,
+                         flux_xi=xi)
+    state = make_state(n, m, xi)
+    f, _ = _dense_residual(sys, state, branch)
+    for lev in solve_kg_energy(sys, state, branch):
+        r = lev.energy
+        f_r = f(r)
+        if f_r == 0.0:
+            continue
+        neighbours = [f(math.nextafter(r, -math.inf)), f(math.nextafter(r, math.inf))]
+        assert any((f_r < 0.0 < g) or (g < 0.0 < f_r) for g in neighbours), (r, f_r, neighbours)
+
+
+def test_solver_evaluation_budget(monkeypatch):
+    # Newton refinement from the bracket's f > 0 end: few calls of the row's
+    # triple per solve (bisection to adjacent floats took 59 and 93).
+    calls = [0]
+
+    def counted_problem(*args):
+        triple = radial_problem(*args)
+
+        def counted(e):
+            calls[0] += 1
+            return triple(e)
+
+        return counted
+
+    monkeypatch.setattr(spectra, "radial_problem", counted_problem)
+    rng = np.random.default_rng(2024)
+    for branch, budget in ((POSITIVE, 25.0), (NEGATIVE, 45.0)):
+        calls[0] = 0
+        solves = 250
+        for _ in range(solves):
+            sys = PhysicalSystem(
+                v0=float(10.0 ** rng.uniform(-6.0, 1.0)),
+                rho0=float(10.0 ** rng.uniform(-0.5, 0.5)),
+                b_field=float(rng.uniform(0.0, 2.0)),
+                flux_xi=float(rng.uniform(0.0, 1.0)),
+            )
+            state = make_state(int(rng.integers(0, 5)), int(rng.integers(-4, 5)), sys.flux_xi)
+            assert solve_kg_energy(sys, state, branch)
+        assert calls[0] / solves <= budget, (branch, calls[0] / solves)
 
 
 def test_monotone_in_n():
